@@ -1,0 +1,13 @@
+"""Make the program's sources and the benchmark's modules importable.
+
+Run the benchmark's tests from the repository root with
+``python -m pytest perfbench``.
+"""
+
+import os
+import sys
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+for path in (os.path.join(os.path.dirname(HERE), "src"), HERE):
+    if path not in sys.path:
+        sys.path.insert(0, path)

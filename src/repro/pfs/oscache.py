@@ -10,6 +10,11 @@ A real file server does not serve every request from the platter:
   background, coalesced into contiguous runs and drained in
   nearest-first (elevator) order; a bounded dirty-byte budget applies
   backpressure so sustained random writes remain device-bound.
+  The dirty runs are two sorted flat lists (starts, ends), so merging a
+  write, the dirty hit test and the drain's nearest-run pick are each
+  O(log n) bisects; the pick breaks distance ties toward the lower run,
+  as a linear first-minimum scan does, which keeps drain order (and
+  every golden digest) bit-identical.
 
 Without this layer, interleaved per-process sequential streams — the
 common parallel-I/O pattern — would degrade to seek-bound behaviour at
@@ -28,6 +33,7 @@ from __future__ import annotations
 
 import dataclasses
 import typing
+from bisect import bisect_left, bisect_right
 
 from ..errors import ConfigError
 from ..obs import NULL_CONTEXT
@@ -107,8 +113,10 @@ class OSCache:
         self.spec = spec or OSCacheSpec()
         self.name = name or f"oscache:{device.name}"
         self._streams: list[_ReadStream] = []
-        #: Dirty runs as [start, end) sorted list.
-        self._dirty_runs: list[list[int]] = []
+        #: Dirty runs [start, end) as two sorted parallel lists; runs
+        #: are non-empty and never touch (``ends[i] < starts[i + 1]``).
+        self._dirty_starts: list[int] = []
+        self._dirty_ends: list[int] = []
         self._dirty_bytes = 0
         self._drainer = None
         self._write_waiters: list = []
@@ -250,31 +258,30 @@ class OSCache:
             ctx.end(span)
 
     def _add_dirty(self, start: int, end: int) -> None:
-        """Insert [start, end) into the sorted run list, merging."""
-        runs = self._dirty_runs
-        new_bytes = end - start
-        lo = 0
-        while lo < len(runs) and runs[lo][1] < start:
-            lo += 1
-        # Merge every run overlapping/adjacent to [start, end).
-        merged_start, merged_end = start, end
+        """Insert [start, end) into the sorted runs, merging every run
+        it overlaps or touches."""
+        starts = self._dirty_starts
+        ends = self._dirty_ends
+        # First run ending at or after ``start`` .. first run starting
+        # past ``end``: exactly the overlapping/adjacent ones.
+        lo = bisect_left(ends, start)
+        hi = bisect_right(starts, end, lo)
         overlap = 0
-        hi = lo
-        while hi < len(runs) and runs[hi][0] <= end:
-            merged_start = min(merged_start, runs[hi][0])
-            merged_end = max(merged_end, runs[hi][1])
-            overlap += min(end, runs[hi][1]) - max(start, runs[hi][0])
-            hi += 1
-        runs[lo:hi] = [[merged_start, merged_end]]
-        self._dirty_bytes += new_bytes - max(overlap, 0)
+        for i in range(lo, hi):
+            overlap += min(end, ends[i]) - max(start, starts[i])
+        if lo < hi:
+            starts[lo:hi] = (min(start, starts[lo]),)
+            ends[lo:hi] = (max(end, ends[hi - 1]),)
+        else:
+            starts.insert(lo, start)
+            ends.insert(lo, end)
+        self._dirty_bytes += end - start - overlap
 
     def _in_dirty(self, offset: int, size: int) -> bool:
-        for start, end in self._dirty_runs:
-            if start <= offset and offset + size <= end:
-                return True
-            if start > offset + size:
-                break
-        return False
+        # Runs are disjoint, so only the last run starting at or before
+        # ``offset`` can contain the request.
+        index = bisect_right(self._dirty_starts, offset) - 1
+        return index >= 0 and offset + size <= self._dirty_ends[index]
 
     def _ensure_drainer(self) -> None:
         if self._drainer is None or not self._drainer.is_alive:
@@ -284,19 +291,19 @@ class OSCache:
 
     def _drain_loop(self):
         """Background write-back: nearest-run-first (elevator-ish)."""
-        while self._dirty_runs:
+        starts = self._dirty_starts
+        ends = self._dirty_ends
+        while starts:
             head = getattr(self.device, "head_position", None) or 0
-            index = min(
-                range(len(self._dirty_runs)),
-                key=lambda i, head=head: abs(self._dirty_runs[i][0] - head),
-            )
-            run = self._dirty_runs[index]
-            start = run[0]
-            chunk = min(self.spec.drain_chunk, run[1] - start)
-            if run[1] - run[0] <= chunk:
-                del self._dirty_runs[index]
+            index = self._nearest_run(head)
+            start = starts[index]
+            length = ends[index] - start
+            chunk = min(self.spec.drain_chunk, length)
+            if chunk == length:
+                del starts[index]
+                del ends[index]
             else:
-                run[0] = start + chunk
+                starts[index] = start + chunk
             yield from self._device_op_impl("write", start, chunk,
                                             PRIORITY_LOW)
             self._dirty_bytes -= chunk
@@ -307,16 +314,50 @@ class OSCache:
                     gate.succeed()
         # Loop exits when clean; a future write respawns it.
 
-    # ------------------------------------------------------------------
-    # shared device access
-    # ------------------------------------------------------------------
-    def _device_op(self, op: str, offset: int, size: int, priority: int,
-                   ctx: "TraceContext | None" = None):
-        yield from self._device_op_impl(op, offset, size, priority, ctx=ctx)
+    def _nearest_run(self, head: int) -> int:
+        """Index of the run whose start is nearest ``head``.
+
+        Starts are strictly increasing, so the nearest is one of the two
+        runs around ``head``'s insertion point; on equal distance the
+        lower index wins, as a first-minimum scan over all runs would
+        pick.  That tie-break fixes the drain order, hence every seek.
+        """
+        starts = self._dirty_starts
+        index = bisect_left(starts, head)
+        if index == len(starts):
+            return index - 1
+        if index and head - starts[index - 1] <= starts[index] - head:
+            return index - 1
+        return index
 
     @property
     def dirty_bytes(self) -> int:
         return self._dirty_bytes
+
+    def check_invariants(self) -> None:
+        """Assert the dirty runs are sorted, non-empty and non-touching,
+        and that ``dirty_bytes`` covers them (used by property tests)."""
+        starts = self._dirty_starts
+        ends = self._dirty_ends
+        if len(starts) != len(ends):
+            raise AssertionError("dirty-run lists out of sync")
+        for i in range(len(starts)):
+            if ends[i] <= starts[i]:
+                raise AssertionError(
+                    f"bad dirty run [{starts[i]}, {ends[i]})"
+                )
+            if i and ends[i - 1] >= starts[i]:
+                raise AssertionError(
+                    f"unmerged: [{starts[i - 1]}, {ends[i - 1]}) then "
+                    f"[{starts[i]}, {ends[i]})"
+                )
+        # dirty_bytes also counts at most one in-flight drain chunk:
+        # popped from the runs, subtracted only when its write lands.
+        queued = sum(e - s for s, e in zip(starts, ends))
+        if not queued <= self._dirty_bytes <= queued + self.spec.drain_chunk:
+            raise AssertionError(
+                f"dirty_bytes {self._dirty_bytes} vs queued {queued}"
+            )
 
     def flush(self):
         """Process generator: wait for all dirty data to drain."""

@@ -45,20 +45,12 @@ def test_dirty_accounting_never_negative_and_drains(ops, dirty_high_blocks):
         for op, block, blocks in ops:
             yield from server.serve(op, block * BLOCK, blocks * BLOCK)
             assert cache.dirty_bytes >= 0
-            # Dirty runs are sorted and disjoint.
-            runs = cache._dirty_runs
-            for (s1, e1), (s2, e2) in zip(runs, runs[1:]):
-                assert e1 <= s2
-            # dirty_bytes covers the queued runs plus at most one
-            # in-flight drain chunk (popped from the list, decremented
-            # only when its device write lands).
-            queued = sum(e - s for s, e in runs)
-            assert queued <= cache.dirty_bytes <= queued + cache.spec.drain_chunk
+            cache.check_invariants()
         yield from cache.flush()
 
     sim.run_process(body())
     assert cache.dirty_bytes == 0
-    assert cache._dirty_runs == []
+    assert cache._dirty_starts == [] and cache._dirty_ends == []
     writes = sum(blocks * BLOCK for op, _, blocks in ops if op == "write")
     # Everything written was eventually drained (coalescing dedupes
     # overlapping writes, so drained <= written).

@@ -2,10 +2,8 @@
 
 The allocation-plane overhaul claims the hot event path is (near)
 zero-alloc: generic events, timeouts, bootstrap frames and resource
-grants recycle through free pools, and the flat calendar keeps timed
-entries as parallel-array rows instead of boxed ``(when, seq, event)``
-triples.  This receipt measures those claims and commits them as
-``benchmarks/perf/BENCH_alloc.json``:
+grants recycle through free pools.  This receipt measures that claim
+and commits it as ``benchmarks/perf/BENCH_alloc.json``:
 
 - **allocations per event**: a counting pass patches
   ``Event.__new__`` to count fresh event-family constructions while a
@@ -14,9 +12,10 @@ triples.  This receipt measures those claims and commits them as
   entries.  ``allocs_per_event`` = (fresh + tuples) / events.
 - **reference**: the same workloads measured on the pre-overhaul
   engine (rev ``ccec87d``), where every ``sim.event()`` built a fresh
-  Event and both timed backends boxed one triple per entry.  The
-  ``met`` flags record whether allocations per event dropped >= 50%.
-- **throughput**: the default-scheduler event_loop run vs the
+  Event.  The ``met`` flag records whether event_loop's allocations
+  per event dropped >= 50%; timeout_storm keeps one boxed heap entry
+  per timer and is measured for the regression gate only.
+- **throughput**: the event_loop run vs the
   committed ``BENCH_baseline.json`` number, target 1.5x.
 - **memory**: gc-bracketed ``sys.getallocatedblocks`` deltas and a
   tracemalloc peak per workload, so a leaky pool shows up as net
@@ -43,9 +42,11 @@ import typing
 
 from .suite import SUITE
 
-#: Benchmarks measured for allocation behaviour, under each backend.
+#: Benchmarks measured for allocation behaviour.
 COUNTED = ("event_loop", "timeout_storm")
-BACKENDS = ("auto", "calendar", "heap")
+#: Row key of each bench's measurement, matching the ``heap`` rows of
+#: earlier receipts so ``--alloc-check`` compares like with like.
+ROW = "heap"
 
 #: Pre-overhaul engine measured with this module's counting pass at
 #: rev ccec87d (git worktree, same machine, same workloads).  Both
@@ -72,16 +73,16 @@ REDUCTION_TARGET = 0.5
 THROUGHPUT_TARGET = 1.5
 
 
-def _build(name: str, scheduler: str, scale: float):
+def _build(name: str, scale: float):
     """Build one benchmark run; returns (run, sim, units)."""
     builder, _ = SUITE[name]
-    build, units, _unit, _mode = builder(scale, scheduler=scheduler)
+    build, units, _unit, _mode = builder(scale)
     run = build()
     # Both counted benchmarks hand back the bound Simulator.run.
     return run, run.__self__, units
 
 
-def _count_inline(name: str, scheduler: str, scale: float) -> dict:
+def _count_inline(name: str, scale: float) -> dict:
     """Run once with Event.__new__ patched; returns fresh-alloc stats.
 
     The patch is never removed — installing any ``__new__`` rewires
@@ -97,14 +98,12 @@ def _count_inline(name: str, scheduler: str, scale: float) -> dict:
         counts[cls.__name__] = counts.get(cls.__name__, 0) + 1
         return object.__new__(cls)
 
-    run, sim, units = _build(name, scheduler, scale)
+    run, sim, units = _build(name, scale)
     Event.__new__ = counting_new  # type: ignore[method-assign]
     run()
     fresh = sum(counts.values())
     tuples = sim.timed_entry_tuples
     return {
-        "scheduler": scheduler,
-        "active_scheduler": sim.active_scheduler,
         "units": units,
         "fresh_by_class": dict(sorted(counts.items())),
         "fresh_per_event": round(fresh / units, 6),
@@ -114,7 +113,7 @@ def _count_inline(name: str, scheduler: str, scale: float) -> dict:
     }
 
 
-def _count_pass(name: str, scheduler: str, scale: float) -> dict:
+def _count_pass(name: str, scale: float) -> dict:
     """:func:`_count_inline` in a fresh interpreter (see its docstring)."""
     env = dict(os.environ)
     src = os.path.normpath(os.path.join(os.path.dirname(__file__), "..", ".."))
@@ -124,21 +123,21 @@ def _count_pass(name: str, scheduler: str, scale: float) -> dict:
          "import json, sys\n"
          "from repro.bench.alloc_receipt import _count_inline\n"
          "print(json.dumps(_count_inline("
-         "sys.argv[1], sys.argv[2], float(sys.argv[3]))))",
-         name, scheduler, str(scale)],
+         "sys.argv[1], float(sys.argv[2]))))",
+         name, str(scale)],
         capture_output=True, text=True, env=env, check=False,
     )
     if proc.returncode != 0:
         raise RuntimeError(
-            f"counting pass {name}[{scheduler}] failed:\n"
+            f"counting pass {name} failed:\n"
             f"{proc.stderr[-2000:]}"
         )
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def _memory_pass(name: str, scheduler: str, scale: float) -> dict:
+def _memory_pass(name: str, scale: float) -> dict:
     """Run once under gc-bracketed block counting plus tracemalloc."""
-    run, _sim, units = _build(name, scheduler, scale)
+    run, _sim, units = _build(name, scale)
     gc.collect()
     blocks0 = sys.getallocatedblocks()
     tracemalloc.start()
@@ -154,14 +153,13 @@ def _memory_pass(name: str, scheduler: str, scale: float) -> dict:
     }
 
 
-def _timing_pass(name: str, scheduler: str, scale: float,
-                 repeats: int | None) -> dict:
+def _timing_pass(name: str, scale: float, repeats: int | None) -> dict:
     """Best-of-``repeats`` unpatched wall-clock run."""
     default_repeats = SUITE[name][1]
     best: float | None = None
     units = 0
     for _ in range(max(1, repeats or default_repeats)):
-        run, _sim, units = _build(name, scheduler, scale)
+        run, _sim, units = _build(name, scale)
         t0 = time.perf_counter()
         run()
         wall = time.perf_counter() - t0
@@ -173,18 +171,12 @@ def _timing_pass(name: str, scheduler: str, scale: float,
 
 
 def measure_allocs(scale: float = 1.0) -> dict:
-    """Counting passes only (no timing): bench name -> backend rows.
+    """Counting passes only (no timing): bench name -> {ROW: row}.
 
     This is the fast, scale-invariant core the CI regression gate
     runs — allocations *per event* do not change with ``scale``.
     """
-    out: dict[str, dict] = {}
-    for name in COUNTED:
-        out[name] = {
-            scheduler: _count_pass(name, scheduler, scale)
-            for scheduler in BACKENDS
-        }
-    return out
+    return {name: {ROW: _count_pass(name, scale)} for name in COUNTED}
 
 
 def check_allocs(measured: dict, baseline: dict,
@@ -197,15 +189,15 @@ def check_allocs(measured: dict, baseline: dict,
     regressions = []
     base_benches = baseline.get("benches", {})
     for name, rows in measured.items():
-        for scheduler, row in rows.items():
-            base_row = base_benches.get(name, {}).get(scheduler)
+        for key, row in rows.items():
+            base_row = base_benches.get(name, {}).get(key)
             if base_row is None:
                 continue
             base = base_row["allocs_per_event"]
             cur = row["allocs_per_event"]
             if cur - base > max(tolerance * base, 0.005):
                 regressions.append(
-                    f"{name}[{scheduler}]: {cur:.4f} allocs/event vs "
+                    f"{name}[{key}]: {cur:.4f} allocs/event vs "
                     f"committed {base:.4f} "
                     f"(+{(cur - base) / base * 100 if base else 100:.0f}%, "
                     f"tolerance {tolerance * 100:.0f}%)"
@@ -220,39 +212,26 @@ def build_receipt(scale: float = 1.0, repeats: int | None = None,
 
     benches: dict[str, dict] = {}
     for name in COUNTED:
-        rows: dict[str, dict] = {}
-        for scheduler in BACKENDS:
-            if progress:
-                progress(f"{name} [{scheduler}] counting/memory/timing ...")
-            row = _count_pass(name, scheduler, scale)
-            row.update(_memory_pass(name, scheduler, scale))
-            row.update(_timing_pass(name, scheduler, scale, repeats))
-            rows[scheduler] = row
-        benches[name] = rows
+        if progress:
+            progress(f"{name} counting/memory/timing ...")
+        row = _count_pass(name, scale)
+        row.update(_memory_pass(name, scale))
+        row.update(_timing_pass(name, scale, repeats))
+        benches[name] = {ROW: row}
 
-    claims: dict[str, dict] = {}
-    for name, scheduler, note in (
-        ("event_loop", "auto",
-         "default backend; zero-delay chains never arm timers, so the "
-         "whole reduction is the generic-event pool"),
-        ("timeout_storm", "calendar",
-         "flat-array calendar rows replace boxed timed-entry triples; "
-         "the default auto backend stays on the heap at this bench's "
-         "8-live-timer population (below the 512-timer adoption "
-         "threshold) and keeps the boxed-tuple cost, recorded in the "
-         "auto row above"),
-    ):
-        ref = REFERENCE[name]["allocs_per_event"]
-        cur = benches[name][scheduler]["allocs_per_event"]
-        claims[f"alloc_{name}"] = {
-            "scheduler": scheduler,
+    ref = REFERENCE["event_loop"]["allocs_per_event"]
+    cur = benches["event_loop"][ROW]["allocs_per_event"]
+    claims: dict[str, dict] = {
+        "alloc_event_loop": {
             "reference_allocs_per_event": ref,
             "allocs_per_event": cur,
             "reduction": round(1.0 - cur / ref, 4) if ref else 0.0,
             "target_reduction": REDUCTION_TARGET,
             "met": ref > 0 and cur <= ref * (1.0 - REDUCTION_TARGET),
-            "note": note,
-        }
+            "note": ("zero-delay chains never arm timers, so the whole "
+                     "reduction is the generic-event pool"),
+        },
+    }
 
     if os.path.exists(baseline_path):
         with open(baseline_path) as fh:
@@ -261,16 +240,15 @@ def build_receipt(scale: float = 1.0, repeats: int | None = None,
             "event_loop"
         )
         if base is not None:
-            cur_tp = benches["event_loop"]["auto"]["throughput"]
+            cur_tp = benches["event_loop"][ROW]["throughput"]
             claims["throughput_event_loop"] = {
-                "scheduler": "auto",
                 "baseline_throughput": base["throughput"],
                 "throughput": cur_tp,
                 "achieved_x": round(cur_tp / base["throughput"], 3),
                 "target_x": THROUGHPUT_TARGET,
                 "met": cur_tp >= THROUGHPUT_TARGET * base["throughput"],
                 "note": (
-                    "default-scheduler event_loop vs the committed "
+                    "event_loop vs the committed "
                     "BENCH_baseline.json throughput; cross-revision "
                     "wall clocks carry machine drift"
                 ),
@@ -296,7 +274,7 @@ def write_receipt(
 ) -> int:
     """Build and write the receipt; exit status for the CLI.
 
-    Exit 1 when either allocation-reduction claim is unmet — the
+    Exit 1 when the allocation-reduction claim is unmet — the
     receipt's whole point is that the pools engage; the throughput
     claim is recorded for review, not gated on.
     """
@@ -307,13 +285,13 @@ def write_receipt(
     ok = True
     if progress:
         for name, rows in receipt["benches"].items():
-            for scheduler, row in rows.items():
-                progress(
-                    f"{name}[{scheduler}]: {row['allocs_per_event']:.4f} "
-                    f"allocs/event ({row['fresh_per_event']:.4f} fresh + "
-                    f"{row['tuples_per_event']:.4f} tuples), "
-                    f"{row['throughput']:,.0f}/s"
-                )
+            row = rows[ROW]
+            progress(
+                f"{name}: {row['allocs_per_event']:.4f} "
+                f"allocs/event ({row['fresh_per_event']:.4f} fresh + "
+                f"{row['tuples_per_event']:.4f} tuples), "
+                f"{row['throughput']:,.0f}/s"
+            )
     for claim, row in receipt["claims"].items():
         if claim.startswith("alloc_") and not row["met"]:
             ok = False

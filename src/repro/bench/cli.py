@@ -98,10 +98,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="measure streaming-telemetry overhead, "
                              "write a BENCH_streaming.json receipt, "
                              "and exit")
-    parser.add_argument("--calendar-receipt", default=None, metavar="PATH",
-                        help="measure calendar vs heap scheduler "
-                             "backends, write a BENCH_calendar.json "
-                             "receipt, and exit")
     parser.add_argument("--alloc-receipt", default=None, metavar="PATH",
                         help="measure allocations-per-event and pool "
                              "behaviour, write a BENCH_alloc.json "
@@ -146,14 +142,6 @@ def main(argv: list[str] | None = None) -> int:
             progress=lambda msg: print(msg, flush=True),
         )
 
-    if args.calendar_receipt is not None:
-        from .calendar_receipt import write_receipt as write_calendar
-
-        return write_calendar(
-            args.calendar_receipt, scale=args.scale, repeats=args.repeat,
-            progress=lambda msg: print(msg, flush=True),
-        )
-
     if args.alloc_receipt is not None:
         from .alloc_receipt import write_receipt as write_alloc
 
@@ -177,8 +165,8 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"  {line}")
             return 1
         for name, rows in measured.items():
-            for scheduler, row in rows.items():
-                print(f"{name}[{scheduler}]: "
+            for key, row in rows.items():
+                print(f"{name}[{key}]: "
                       f"{row['allocs_per_event']:.4f} allocs/event")
         print(f"no allocation regression vs {args.alloc_check} "
               f"(tolerance {args.tolerance * 100:.0f}%)")

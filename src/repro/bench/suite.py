@@ -88,7 +88,7 @@ def _scaled(base: int, scale: float, minimum: int = 1) -> int:
 
 
 @bench("event_loop")
-def _event_loop(scale: float, scheduler: str | None = None):
+def _event_loop(scale: float):
     """Zero-delay resume throughput: the dominant DES pattern.
 
     Eight processes each run a chain of already-triggered events —
@@ -96,13 +96,13 @@ def _event_loop(scale: float, scheduler: str | None = None):
     completion notifications, which are the majority of events in an
     S4D run.
     """
-    from ..sim import DEFAULT_SCHEDULER, Simulator
+    from ..sim import Simulator
 
     iters = _scaled(40_000, scale)
     workers = 8
 
     def build():
-        sim = Simulator(seed=1, scheduler=scheduler or DEFAULT_SCHEDULER)
+        sim = Simulator(seed=1)
 
         def worker():
             for _ in range(iters):
@@ -120,20 +120,19 @@ def _event_loop(scale: float, scheduler: str | None = None):
 
 
 @bench("timeout_storm")
-def _timeout_storm(scale: float, scheduler: str | None = None):
+def _timeout_storm(scale: float):
     """Timed-event throughput: timer scheduling plus Timeout churn.
 
-    Only eight timers are ever live at once — a shape that flatters
-    the C-implemented heap; see timeout_storm_calendar for the
+    Only eight timers are ever live at once; schedule_many covers the
     large-population regime.
     """
-    from ..sim import DEFAULT_SCHEDULER, Simulator
+    from ..sim import Simulator
 
     iters = _scaled(25_000, scale)
     workers = 8
 
     def build():
-        sim = Simulator(seed=2, scheduler=scheduler or DEFAULT_SCHEDULER)
+        sim = Simulator(seed=2)
 
         def worker(step: float):
             for _ in range(iters):
@@ -159,72 +158,8 @@ def _spread_times(n: int, span: float, salt: int = 0) -> list[float]:
     )
 
 
-@bench("event_loop_calendar")
-def _event_loop_calendar(scale: float, scheduler: str | None = None):
-    """Zero-delay chains racing a live 50k-timer population.
-
-    The event_loop shape with the queue pressure real campaigns have:
-    a large armed-timer population (pending device completions, rank
-    deadlines) drains while the zero-delay grant chains run, and every
-    other chain step arms a short timer.  Under the heap every timer
-    insert/pop pays O(log n) against the whole population; the
-    calendar pays O(1) bucket traffic and batched slot drains.
-    """
-    from ..sim import DEFAULT_SCHEDULER, Simulator
-
-    iters = _scaled(40_000, scale)
-    pending = _scaled(50_000, scale, minimum=256)
-    workers = 8
-    times = _spread_times(pending, 10.0)
-
-    def build():
-        sim = Simulator(seed=11, scheduler=scheduler or DEFAULT_SCHEDULER)
-        sim.schedule_many(at=times)
-
-        def worker(step: float):
-            for i in range(iters):
-                ev = sim.event()
-                ev.succeed(None)
-                yield ev
-                if not i % 2:
-                    yield sim.timeout(step)
-
-        for w in range(workers):
-            sim.spawn(worker(1e-5 * (w + 1)))
-        return sim.run
-
-    units = workers * iters + workers * (iters // 2) + pending
-    return build, units, "events", "throughput"
-
-
-@bench("timeout_storm_calendar")
-def _timeout_storm_calendar(scale: float, scheduler: str | None = None):
-    """Bulk-armed timer storm: the 10k-rank sweep regime.
-
-    200k timers spread over ten simulated seconds, armed in one
-    ``schedule_many`` call and drained by the engine — the shape of a
-    wide parameter sweep arming per-rank deadlines up front.  Arming
-    (and its Timeout allocation) happens untimed in the builder, like
-    event_loop's process bootstrap: the timed section is the drain,
-    where the calendar's whole-slot batch pops replace O(log 200k)
-    heap traffic per timer.  The ``schedule_many`` benchmark times the
-    arming side.
-    """
-    from ..sim import DEFAULT_SCHEDULER, Simulator
-
-    n = _scaled(200_000, scale, minimum=1024)
-    times = _spread_times(n, 10.0)
-
-    def build():
-        sim = Simulator(seed=12, scheduler=scheduler or DEFAULT_SCHEDULER)
-        sim.schedule_many(at=times)
-        return sim.run
-
-    return build, n, "timeouts", "throughput"
-
-
 @bench("schedule_many")
-def _schedule_many(scale: float, scheduler: str | None = None):
+def _schedule_many(scale: float):
     """Round-based bulk arming: coalesced PFS fan-out shape.
 
     Twelve rounds of one ``schedule_many`` burst (16k timers over two
@@ -232,7 +167,7 @@ def _schedule_many(scale: float, scheduler: str | None = None):
     coalesced PFS rounds and pre-armed sampler tick chains, dominated
     by bulk-insert plus drain rather than steady-state interleaving.
     """
-    from ..sim import DEFAULT_SCHEDULER, Simulator
+    from ..sim import Simulator
 
     rounds = 12
     per = _scaled(16_384, scale, minimum=256)
@@ -242,7 +177,7 @@ def _schedule_many(scale: float, scheduler: str | None = None):
     ]
 
     def build():
-        sim = Simulator(seed=13, scheduler=scheduler or DEFAULT_SCHEDULER)
+        sim = Simulator(seed=13)
 
         def run():
             for delays in batches:

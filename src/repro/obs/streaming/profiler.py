@@ -65,9 +65,8 @@ class EngineProfiler:
         """Mirror of ``Simulator.run`` with per-event timing.
 
         Pops through ``Simulator._pop_merged`` so the exact merge /
-        cancellation / ``until`` semantics of whichever timed-queue
-        backend is active (calendar or heap) are replayed, not
-        reimplemented here.
+        cancellation / ``until`` semantics of the engine's heap and
+        run-queue are replayed, not reimplemented here.
         """
         sim = self.sim
         crashed = sim._crashed

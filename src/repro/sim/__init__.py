@@ -16,7 +16,7 @@ Public surface::
     sim.run()
 """
 
-from .core import DEFAULT_SCHEDULER, SCHEDULERS, Simulator
+from .core import Simulator
 from .events import AllOf, AnyOf, Event, Timeout
 from .process import Process
 from .resources import PriorityResource, Store
@@ -25,9 +25,7 @@ from .rng import RandomStreams
 __all__ = [
     "AllOf",
     "AnyOf",
-    "DEFAULT_SCHEDULER",
     "Event",
-    "SCHEDULERS",
     "PriorityResource",
     "Process",
     "RandomStreams",

@@ -96,8 +96,7 @@ def test_run_until_past_raises():
         sim.run(until=0.5)
 
 
-@pytest.mark.parametrize("scheduler", ["calendar", "heap"])
-def test_cancel_heavy_run_keeps_queue_bounded(scheduler):
+def test_cancel_heavy_run_keeps_queue_bounded():
     """Lazy cancellation must not grow the timed queue without bound.
 
     A pause/resume-heavy caller (the telemetry sampler) cancels far
@@ -107,7 +106,7 @@ def test_cancel_heavy_run_keeps_queue_bounded(scheduler):
     """
     from repro.sim.core import _COMPACT_MIN_CANCELLED
 
-    sim = Simulator(seed=1, scheduler=scheduler)
+    sim = Simulator(seed=1)
     keep = [sim.timeout(10.0 + i * 1e-3) for i in range(32)]
     for round_ in range(50):
         doomed = [sim.timeout(1.0 + i * 1e-4) for i in range(100)]
@@ -125,4 +124,26 @@ def test_cancel_heavy_run_keeps_queue_bounded(scheduler):
     sim.run()
     assert all(ev.processed for ev in keep)
     assert sim.now == pytest.approx(10.0 + 31 * 1e-3)
+    assert not sim._cancelled
+
+
+def test_compaction_inside_a_running_loop_keeps_later_events():
+    """A process that cancels enough timers to trigger compaction while
+    the run loop is driving must still see the timers it arms next."""
+    sim = Simulator(seed=1)
+    fired = []
+
+    def body():
+        timers = [sim.timeout(1.0 + i) for i in range(100)]
+        for ev in timers:
+            ev.add_callback(lambda ev: fired.append(sim.now))
+        yield sim.timeout(0.5)
+        for ev in timers:
+            sim.cancel(ev)
+        assert len(sim._cancelled) < len(timers)  # compaction ran
+        yield sim.timeout(0.25)
+        return sim.now
+
+    assert sim.run_process(body()) == 0.75
+    assert fired == []
     assert not sim._cancelled

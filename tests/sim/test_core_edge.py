@@ -12,11 +12,6 @@ def test_step_on_empty_queue_rejected():
         sim.step()
 
 
-def test_unknown_scheduler_rejected():
-    with pytest.raises(SimulationError, match="unknown scheduler"):
-        Simulator(scheduler="calender")  # simlint: disable=SIM003
-
-
 def test_run_until_in_past_rejected():
     sim = Simulator()
     sim.timeout(5.0)

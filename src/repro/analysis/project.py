@@ -311,7 +311,7 @@ class Project:
                     if info is not None:
                         return info
                     return self._sole_method(func.attr)
-                # module alias: ``layout.coalesce_subrequests(...)``
+                # module alias: ``layout.plan_request(...)``
                 imported = module.imports.get(owner)
                 if imported is not None:
                     return self.functions.get(f"{imported}.{func.attr}")

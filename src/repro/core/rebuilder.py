@@ -25,6 +25,7 @@ throughput, which the budget parameters control explicitly.
 
 from __future__ import annotations
 
+import heapq
 import typing
 
 from ..errors import ProcessKilled
@@ -147,7 +148,7 @@ class Rebuilder:
         """
         for _ in range(max_cycles):
             dirty = bool(self.dmt.dirty_extents(limit=1))
-            pending = bool(self.cdt.pending_fetches(limit=1))
+            pending = self.cdt.has_pending_fetches()
             if not dirty and not pending:
                 return
             before = (self.metrics.fetched_bytes, self.metrics.flushed_bytes)
@@ -245,13 +246,15 @@ class Rebuilder:
         the DServer reads stream instead of seeking.
         """
         spent = 0
-        # One total-order sort (the trailing _seq reproduces exactly
-        # what sorting pending_fetches()' (-benefit, _seq) output by
-        # the first three keys gave via stability).
-        pending = sorted(
-            self.cdt.pending_fetch_entries(),
-            key=lambda e: (-e.benefit, e.d_file, e.d_offset, e._seq),
-        )
+        # Heap-select in one total order (the unique admission _seq
+        # breaks every tie): popping until the budget is spent gives
+        # the sorted prefix without sorting the entries the budget
+        # never reaches.  Keys are snapshotted at the start of the pass.
+        pending = [
+            (-e.benefit, e.d_file, e.d_offset, e._seq, e)
+            for e in self.cdt.pending_fetch_entries()
+        ]
+        heapq.heapify(pending)
 
         def fetch_and_clear(entry):
             done = yield from self._fetch_entry(entry)
@@ -259,9 +262,8 @@ class Rebuilder:
                 entry.c_flag = False
 
         batch: list = []
-        for entry in pending:
-            if spent >= budget:
-                break
+        while pending and spent < budget:
+            entry = heapq.heappop(pending)[-1]
             batch.append(entry)
             spent += entry.length
             if len(batch) >= self.parallelism:

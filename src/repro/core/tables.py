@@ -74,6 +74,11 @@ class CDTEntry:
         return (self.d_file, self.d_offset, self.length)
 
 
+def _fetch_order(entry: CDTEntry) -> tuple[float, int]:
+    """Highest benefit first, then admission order."""
+    return (-entry.benefit, entry._seq)
+
+
 class CDT:
     """The critical data table.
 
@@ -205,10 +210,14 @@ class CDT:
         Only the flagged entries — tracked in a dict maintained by the
         C_flag write hook — are examined.
         """
-        out = sorted(
-            self._pending.values(), key=lambda e: (-e.benefit, e._seq)
-        )
-        return out if limit is None else out[:limit]
+        if limit is None:
+            return sorted(self._pending.values(), key=_fetch_order)
+        # Documented equal to sorted(...)[:limit], without the full sort.
+        return heapq.nsmallest(limit, self._pending.values(), key=_fetch_order)
+
+    def has_pending_fetches(self) -> bool:
+        """True when some entry's C_flag asks for a background fetch."""
+        return bool(self._pending)
 
     def pending_fetch_entries(self) -> list["CDTEntry"]:
         """The flagged entries in no particular order (cheap accessor).

@@ -48,7 +48,7 @@ def coalesce_striped(
     stripe land on the same server either way, so sieving across that
     hole adds no server round — it only removes a wire message (the
     same per-server-round argument behind
-    :func:`repro.pfs.layout.coalesce_subrequests`).  Holes that cross a
+    :func:`repro.pfs.layout.plan_request`).  Holes that cross a
     stripe boundary still obey ``max_hole``.
     """
     if stripe <= 0:

@@ -25,6 +25,7 @@ from .layout import (
     involved_servers_paper,
     max_subrequest_paper,
     max_subrequest_size,
+    plan_request,
     split_request,
 )
 from .server import FileServer
@@ -42,5 +43,6 @@ __all__ = [
     "involved_servers_paper",
     "max_subrequest_paper",
     "max_subrequest_size",
+    "plan_request",
     "split_request",
 ]

@@ -12,7 +12,7 @@ from ..obs import NULL_CONTEXT
 from ..sim.resources import PRIORITY_NORMAL
 from .content import next_stamp
 from .filesystem import PFS, PFSFile
-from .layout import coalesce_subrequests, split_request
+from .layout import plan_request, split_request
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from ..obs import TraceContext
@@ -63,7 +63,8 @@ class PFSClient:
 
     ``coalesce=True`` merges each server's locally-contiguous stripe
     fragments into one wire message per server round before the flows
-    are spawned (ROMIO-style two-phase aggregation) — same bytes and
+    are spawned (ROMIO-style two-phase aggregation, planned in closed
+    form by :func:`~repro.pfs.layout.plan_request`) — same bytes and
     device addresses, fewer messages and fewer simulated events.  It
     is on by default (the golden determinism fixtures are blessed
     under coalescing); ``coalesce=False`` restores the legacy
@@ -138,11 +139,17 @@ class PFSClient:
         if ctx is None:
             ctx = NULL_CONTEXT
         start = self.sim.now
-        subs = split_request(offset, size, self.pfs.stripe_size, self.pfs.num_servers)
-        if self.coalesce and len(subs) > self.pfs.num_servers:
-            fragments = len(subs)
-            subs = coalesce_subrequests(subs)
-            self.subrequests_coalesced += fragments - len(subs)
+        stripe = self.pfs.stripe_size
+        servers = self.pfs.num_servers
+        if self.coalesce:
+            subs = plan_request(offset, size, stripe, servers)
+            # Fragments the per-stripe split would have issued beyond
+            # one per server (it already merges everything when M == 1).
+            if servers > 1:
+                fragments = (offset + size - 1) // stripe - offset // stripe + 1
+                self.subrequests_coalesced += max(0, fragments - servers)
+        else:
+            subs = split_request(offset, size, stripe, servers)
         self.subrequests_issued += len(subs)
         span = None
         if ctx is not NULL_CONTEXT:

@@ -4,8 +4,10 @@ A file is placed across ``M`` servers round-robin with stripe size
 ``str``: global stripe ``k`` lives on server ``k % M`` at local stripe
 slot ``k // M``.  This module provides:
 
-- :func:`split_request` — the exact sub-requests a parallel request
-  decomposes into (used by the simulated PFS client);
+- :func:`plan_request` — one sub-request per involved server, in
+  closed form (what the simulated PFS client issues);
+- :func:`split_request` — every stripe fragment a parallel request
+  decomposes into (the client's uncoalesced path);
 - :func:`involved_servers` / :func:`involved_servers_paper` — the
   actual server count vs the paper's Eq. 6 (which counts one extra
   server when a request ends exactly on a stripe boundary);
@@ -81,49 +83,37 @@ def split_request(
     return subs
 
 
-def coalesce_per_server(
-    subs: list[SubRequest], servers: int
-) -> list[list[SubRequest]]:
-    """Group sub-requests by server, preserving order."""
-    grouped: list[list[SubRequest]] = [[] for _ in range(servers)]
-    for sub in subs:
-        grouped[sub.server].append(sub)
-    return [g for g in grouped if g]
+def plan_request(
+    offset: int, size: int, stripe: int, servers: int
+) -> list[SubRequest]:
+    """One sub-request per involved server, in closed form.
 
+    The coalesced plan the client issues: each server's share of a
+    request is one contiguous local range, because its consecutive
+    stripe slots are adjacent in its local address space.  Run ``i``
+    starts at stripe ``k = B + i`` and covers stripes ``k, k + M, ...,
+    <= E``, so the plan is built in O(servers) without enumerating
+    fragments.  Runs come in stripe (hence ``file_offset``) order.
 
-def coalesce_subrequests(subs: list[SubRequest]) -> list[SubRequest]:
-    """Merge each server's locally-contiguous stripe fragments.
-
-    A request spanning more than ``M`` stripes leaves every server with
-    several fragments that are *adjacent in the server's local address
-    space* (consecutive stripe slots).  The stock client ships each
-    fragment as its own network message; merging a contiguous run into
-    one sub-request is ROMIO-style per-server-round coalescing — same
-    bytes, same device addresses, fewer messages.
-
-    The merged list preserves the original round-robin issue order by
-    each run's first fragment (``file_offset``), so issue order stays
-    deterministic.  Input order within one server is assumed ascending
-    in ``local_offset`` (what :func:`split_request` produces).
+    Equal to ROMIO-style per-server merging of :func:`split_request`'s
+    fragments when the request has more than ``M`` of them, and to
+    :func:`split_request` itself otherwise.
     """
-    if len(subs) <= 1:
-        return subs
-    runs: dict[int, SubRequest] = {}  # server -> open run
-    merged: list[SubRequest] = []
-    for sub in subs:
-        run = runs.get(sub.server)
-        if run is not None and run.local_offset + run.length == sub.local_offset:
-            runs[sub.server] = SubRequest(
-                run.server, run.local_offset, run.length + sub.length,
-                run.file_offset,
-            )
-        else:
-            if run is not None:
-                merged.append(run)
-            runs[sub.server] = sub
-    merged.extend(runs.values())
-    merged.sort(key=lambda s: s.file_offset)
-    return merged
+    _validate(offset, size, stripe, servers)
+    end = offset + size
+    first = offset // stripe
+    last = (end - 1) // stripe
+    plan: list[SubRequest] = []
+    for k in range(first, min(last + 1, first + servers)):
+        # This server's run ends on stripe k_last = k + j*M <= last;
+        # its slots k//M .. k_last//M are adjacent locally.
+        k_last = last - (last - k) % servers
+        start = offset if k == first else k * stripe
+        stop = end if k_last == last else (k_last + 1) * stripe
+        local = (k // servers) * stripe + (start - k * stripe)
+        local_end = (k_last // servers) * stripe + (stop - k_last * stripe)
+        plan.append(SubRequest(k % servers, local, local_end - local, start))
+    return plan
 
 
 def involved_servers(offset: int, size: int, stripe: int, servers: int) -> int:
@@ -154,10 +144,7 @@ def max_subrequest_size(
     offset: int, size: int, stripe: int, servers: int
 ) -> int:
     """Actual maximum per-server byte count (ground truth for Table II)."""
-    totals: dict[int, int] = {}
-    for sub in split_request(offset, size, stripe, servers):
-        totals[sub.server] = totals.get(sub.server, 0) + sub.length
-    return max(totals.values())
+    return max(run.length for run in plan_request(offset, size, stripe, servers))
 
 
 def max_subrequest_paper(

@@ -1,5 +1,10 @@
 """Tests for the Rebuilder: flush, fetch, priorities, interference."""
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core import CDT
+from repro.core.rebuilder import Rebuilder
 from repro.mpiio import MPIFile
 from repro.units import KiB, MiB
 
@@ -180,3 +185,63 @@ def test_stop_is_idempotent(s4d_cluster):
 
     sim.run_process(body())
     assert not mw.rebuilder.running
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    entries=st.lists(
+        st.tuples(
+            st.sampled_from([0.0, 0.01, 0.5]),  # benefit (ties likely)
+            st.sampled_from(["/a", "/b"]),
+            st.integers(min_value=0, max_value=7),  # offset slot
+            st.integers(min_value=1, max_value=4),  # length in KiB
+        ),
+        max_size=40,
+    ),
+    budget_kib=st.integers(min_value=0, max_value=60),
+    parallelism=st.integers(min_value=1, max_value=5),
+)
+def test_fetch_pass_takes_sorted_prefix_within_budget(
+    entries, budget_kib, parallelism
+):
+    """The heap-selected batches equal slicing the fully sorted list.
+
+    Reference: sort every flagged entry by (-benefit, file, offset,
+    admission), take entries until the budget is spent, cut batches of
+    ``parallelism``.  Data movement is stubbed out; only the selection
+    order and batch boundaries are under test.
+    """
+    cdt = CDT()
+    for benefit, d_file, slot, length in entries:
+        # Same (file, offset) with different lengths gives distinct
+        # entries whose sort keys tie up to the admission number.
+        entry = cdt.admit(d_file, slot * 8 * KiB, length * KiB, benefit)
+        entry.c_flag = True
+    rebuilder = Rebuilder(
+        None, None, cdt, None, None, None, None, parallelism=parallelism,
+    )
+    batches = []
+
+    def record(action, items):
+        batches.append(list(items))
+        yield from ()
+
+    rebuilder._run_batch = record
+    list(rebuilder.fetch_pass(budget_kib * KiB))
+
+    order = sorted(
+        cdt.pending_fetch_entries(),
+        key=lambda e: (-e.benefit, e.d_file, e.d_offset, e._seq),
+    )
+    expected, batch, spent = [], [], 0
+    for entry in order:
+        if spent >= budget_kib * KiB:
+            break
+        batch.append(entry)
+        spent += entry.length
+        if len(batch) >= parallelism:
+            expected.append(batch)
+            batch = []
+    if batch:
+        expected.append(batch)
+    assert batches == expected

@@ -1,6 +1,8 @@
 """Tests for the CDT and DMT."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import CDT, DMT
 from repro.errors import CacheError
@@ -42,6 +44,35 @@ def test_cdt_pending_fetches_sorted_by_benefit():
     high.c_flag = True
     assert cdt.pending_fetches() == [high, low]
     assert cdt.pending_fetches(limit=1) == [high]
+    assert cdt.has_pending_fetches()
+    high.c_flag = low.c_flag = False
+    assert not cdt.has_pending_fetches()
+    assert cdt.pending_fetches(limit=1) == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    entries=st.lists(
+        st.tuples(st.sampled_from([0.0, 0.01, 0.5]), st.booleans()),
+        max_size=30,
+    ),
+    limit=st.integers(min_value=0, max_value=35),
+)
+def test_cdt_pending_fetches_limit_is_sorted_prefix(entries, limit):
+    """A limited query equals the full benefit/admission sort's prefix."""
+    cdt = CDT()
+    flagged = []
+    for offset, (benefit, flag) in enumerate(entries):
+        entry = cdt.admit("/f", offset * 10, 10, benefit=benefit)
+        entry.c_flag = flag
+        if flag:
+            flagged.append(entry)
+    # Reference: stable sort by benefit of the flagged entries in
+    # admission order.
+    expected = sorted(flagged, key=lambda e: -e.benefit)
+    assert cdt.pending_fetches() == expected
+    assert cdt.pending_fetches(limit=limit) == expected[:limit]
+    assert cdt.has_pending_fetches() == bool(expected)
 
 
 def test_cdt_capacity_evicts_lowest_benefit():

@@ -17,7 +17,7 @@ Series kinds and their sampled row fields:
 
 - ``counter``  — cumulative count/total, window count/total, rate
 - ``tally``    — cumulative + trailing-window Welford stats
-- ``latency``  — windowed tally + streaming P50/P99/P999 sketch
+- ``latency``  — windowed tally + log-histogram P50/P99/P999 sketch
 - ``gauge``    — one lazily evaluated value
 """
 
@@ -26,7 +26,7 @@ from __future__ import annotations
 import typing
 
 from ...errors import ConfigError
-from .stats import QuantileSketch, WindowedCounter, WindowedTally
+from .stats import LogHistogram, WindowedCounter, WindowedTally
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from ...cluster.builder import Cluster
@@ -148,7 +148,7 @@ class TallySeries(WindowedTally):
 
 
 class LatencySeries:
-    """One latency signal: windowed tally + quantile sketch.
+    """One latency signal: windowed tally + log-histogram sketch.
 
     One shared buffer feeds both aggregates, so the per-observation
     hot path is two list appends and a length check.
@@ -156,15 +156,14 @@ class LatencySeries:
 
     kind = "latency"
 
-    __slots__ = ("name", "window", "sketch", "_clock", "_buf", "flushers",
+    __slots__ = ("name", "window", "hist", "_clock", "_buf", "flushers",
                  "_row_cache")
 
-    def __init__(self, clock, window: float, buckets: int,
-                 sketch: QuantileSketch, name: str = ""):
+    def __init__(self, clock, window: float, buckets: int, name: str = ""):
         self.name = name
         self._clock = clock
         self.window = WindowedTally(clock, window, buckets, name=name)
-        self.sketch = sketch
+        self.hist = LogHistogram()
         self._buf: list[float] = []
         #: Extra drain callbacks for adapters that batch into this
         #: series through a buffer of their own (see ServerStream).
@@ -181,7 +180,7 @@ class LatencySeries:
     def observe_many(self, times, values) -> None:
         """Fold pre-timestamped observations directly (adapter drain)."""
         self.window.observe_many(times, values)
-        self.sketch.observe_many(values)
+        self.hist.observe_many(values)
 
     def _flush(self) -> None:
         for drain in self.flushers:
@@ -192,7 +191,7 @@ class LatencySeries:
         self._buf = []
         values = buf[1::2]
         self.window.observe_many(buf[0::2], values)
-        self.sketch.observe_many(values)
+        self.hist.observe_many(values)
 
     @property
     def count(self) -> int:
@@ -201,7 +200,7 @@ class LatencySeries:
 
     def quantile(self, q: float) -> float:
         self._flush()
-        return self.sketch.quantile(q)
+        return self.hist.quantile(q)
 
     def sample_fields(self) -> dict:
         # Idle-series fast path (see CounterSeries.sample_fields).
@@ -212,10 +211,10 @@ class LatencySeries:
             return cached[1]
         row = self.window.as_dict()
         idle = not row["window_count"]
-        # Same stream: keep the tally's count, not the sketch's.  The
-        # overwrite-and-restore (rather than deleting from the sketch
-        # row) leaves the sketch's cached as_dict() dict untouched.
-        row.update(self.sketch.as_dict())
+        # Same stream: keep the tally's count, not the histogram's.
+        # The overwrite-and-restore (rather than deleting from the
+        # histogram row) leaves its cached as_dict() dict untouched.
+        row.update(self.hist.as_dict())
         row["count"] = count
         self._row_cache = (count, row, idle)
         return row
@@ -255,24 +254,15 @@ class StreamHub:
         sim: "Simulator",
         window: float = 1.0,
         buckets: int = 8,
-        sketch: str = "hist",
-        reservoir_size: int = 512,
     ):
         self.sim = sim
         self.window = window
         self.buckets = buckets
-        self.sketch_mode = sketch
-        self.reservoir_size = reservoir_size
         self._series: dict[str, typing.Any] = {}
         #: Sorted (name, series) pairs, rebuilt on registration: the
         #: sampler reads every series every tick, so the sort must not
         #: happen per tick.
         self._ordered: list[tuple[str, typing.Any]] = []
-        self._rng = None
-        if sketch == "reservoir":
-            # A dedicated named stream: reservoir draws can never
-            # perturb any other randomness in the simulation.
-            self._rng = sim.rng.stream("obs.reservoir")
 
     # -- registration ---------------------------------------------------
     def _register(self, name: str, series):
@@ -302,13 +292,8 @@ class StreamHub:
         existing = self._series.get(name)
         if existing is not None:
             return existing
-        sketch = QuantileSketch(
-            mode=self.sketch_mode, rng=self._rng,
-            reservoir_size=self.reservoir_size,
-        )
         return self._register(
-            name,
-            LatencySeries(self.sim, self.window, self.buckets, sketch, name),
+            name, LatencySeries(self.sim, self.window, self.buckets, name)
         )
 
     def gauge(self, name: str, fn: typing.Callable[[], float]) -> GaugeSeries:

@@ -54,7 +54,6 @@ class StreamTelemetry:
         metrics_path: str | None = None,
         window: float | None = None,
         buckets: int = 8,
-        sketch: str = "hist",
         profile: bool = False,
     ):
         self.series_path = series_path
@@ -64,7 +63,6 @@ class StreamTelemetry:
         #: consecutive rows cover disjoint windows.
         self.window = window if window is not None else self.interval
         self.buckets = buckets
-        self.sketch = sketch
         self.profile = profile
 
         self.writer = None
@@ -87,8 +85,7 @@ class StreamTelemetry:
         self.end_run()
         self._cluster = cluster
         self.hub = StreamHub(
-            cluster.sim, window=self.window, buckets=self.buckets,
-            sketch=self.sketch,
+            cluster.sim, window=self.window, buckets=self.buckets
         )
         attach_cluster(cluster, self.hub)
         if self.writer is not None:

@@ -2,32 +2,23 @@
 
 Public surface:
 
-- :func:`fanout` / :func:`resolve_jobs` — the ordered-merge worker
-  pool (``repro.parallel.pool``);
-- :func:`steal_fanout` / :class:`StealStats` — the dynamic
-  work-stealing drain: one shared queue of per-config units, greedy
-  workers, positional merge (``repro.parallel.stealing``);
+- :func:`steal_fanout` / :class:`StealStats` — the one fan-out: a
+  shared queue of units drained greedily by spawn workers, merged
+  positionally (``repro.parallel.stealing``); :func:`resolve_jobs`
+  normalises ``--jobs`` (``repro.parallel.pool``);
 - :class:`ResultStore` / :func:`config_digest` /
   :func:`code_fingerprint` — the content-addressed sweep result cache
   keyed by (canonical config digest, comment-blind code fingerprint)
   (``repro.parallel.store``);
 - :func:`run_sweep` / :func:`run_sweep_with_stats` — the experiment
-  sweep on top of both layers; :func:`run_sharded` /
-  :func:`share_groups` keep the legacy memoisation-preserving
-  module-group sharding (``repro.parallel.experiments``);
+  sweep on top of both layers (``repro.parallel.experiments``);
 - :class:`~repro.errors.WorkerCrashError` — re-exported for callers
   that want to catch crashes without importing :mod:`repro.errors`.
 """
 
 from ..errors import ParallelError, WorkerCrashError
-from .experiments import (
-    run_sharded,
-    run_sweep,
-    run_sweep_with_stats,
-    share_groups,
-    unit_digest,
-)
-from .pool import Task, Worker, fanout, os_cpu_count, resolve_jobs
+from .experiments import run_sweep, run_sweep_with_stats, unit_digest
+from .pool import Task, Worker, os_cpu_count, resolve_jobs
 from .stealing import StealStats, WorkerStats, steal_fanout
 from .store import ResultStore, code_fingerprint, config_digest
 
@@ -41,13 +32,10 @@ __all__ = [
     "WorkerStats",
     "code_fingerprint",
     "config_digest",
-    "fanout",
     "os_cpu_count",
     "resolve_jobs",
-    "run_sharded",
     "run_sweep",
     "run_sweep_with_stats",
-    "share_groups",
     "steal_fanout",
     "unit_digest",
 ]

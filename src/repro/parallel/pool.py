@@ -1,39 +1,23 @@
-"""Deterministic fan-out across a shared-nothing worker pool.
+"""Shared vocabulary of the fan-out: task types, pool sizing, progress.
 
-The runner executes independent tasks on a ``multiprocessing`` worker
-pool and merges the results **in task order**, so output is
-bit-identical to a serial run no matter how the OS schedules workers:
+:func:`repro.parallel.stealing.steal_fanout` is the one fan-out
+engine; this module holds what it and its callers share:
 
-- workers are *shared-nothing*: the pool uses the ``spawn`` start
-  method, so every worker is a fresh interpreter — no inherited
-  memoisation caches, stamp counters or RNG state can leak from the
-  parent or between sibling workers;
-- every task builds its own seeded simulation (``sim.rng`` named
-  streams derived from the config's seed), so results depend only on
-  the task payload, never on which worker ran it or when;
-- the merge is positional: ``fanout`` returns results in the order the
-  tasks were submitted, and parallelism may only change wall time,
-  never output (simlint DET005 guards the "never output" half).
-
-Worker crashes are surfaced as :class:`~repro.errors.WorkerCrashError`
-naming the failing task, with the worker-side traceback attached; the
-pool shuts down cleanly (no orphaned workers) before the error
-propagates.
-
-Progress is observable through a :class:`~repro.obs.MetricsRegistry`
-(counters ``parallel.tasks_done`` / ``parallel.tasks_failed``) and an
-optional ``progress`` callback fired as results arrive.
+- :data:`Task` / :data:`Worker` — ``(task_id, payload)`` units and the
+  importable payload -> result function a spawn worker runs;
+- :func:`resolve_jobs` / :func:`os_cpu_count` — ``--jobs`` parsing and
+  pool sizing (wall time only, never results: simlint DET005);
+- :class:`_Progress` — the ``parallel.tasks_done`` /
+  ``parallel.tasks_failed`` counters and ``parallel.task_seconds``
+  tally mirrored into a :class:`~repro.obs.MetricsRegistry`.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
-import multiprocessing
 import os
-import traceback
 import typing
 
-from ..errors import ParallelError, WorkerCrashError
+from ..errors import ParallelError
 from ..obs import MetricsRegistry
 
 #: Payload -> result function executed in the worker.  Must be an
@@ -54,8 +38,8 @@ def resolve_jobs(jobs: int | None) -> int:
         raise ParallelError(f"jobs must be >= 0: {jobs}")
     if jobs == 0:
         # Worker-pool sizing only: the value never reaches a result
-        # (fanout merges positionally), which is exactly the contract
-        # DET005 enforces everywhere else.
+        # (steal_fanout merges positionally), which is exactly the
+        # contract DET005 enforces everywhere else.
         return os_cpu_count()
     return jobs
 
@@ -63,25 +47,6 @@ def resolve_jobs(jobs: int | None) -> int:
 def os_cpu_count() -> int:
     """Core count for pool sizing (wall-time only, never results)."""
     return os.cpu_count() or 1  # simlint: disable=DET005 - pool sizing only
-
-
-def _guarded(worker: Worker, task_id: str, payload: typing.Any):
-    """Worker-side wrapper: trap failures so the parent can attribute
-    them to the task instead of receiving a bare pickled exception.
-
-    Returns ``(status, value, wall_seconds)`` — the wall time is
-    measured worker-side so the parent can feed the
-    ``parallel.task_seconds`` tally without charging queue time.
-    """
-    import time
-
-    start = time.perf_counter()  # simlint: disable=DET001 - reporting only
-    try:
-        value, status = worker(payload), "ok"
-    except Exception:
-        value, status = traceback.format_exc(), "error"
-    wall = time.perf_counter() - start  # simlint: disable=DET001 - reporting only
-    return (status, value, wall)
 
 
 class _Progress:
@@ -128,74 +93,3 @@ class _Progress:
             self.failed.add()
         if progress is not None:
             progress(f"task {task_id} FAILED")
-
-
-def fanout(
-    tasks: typing.Sequence[Task],
-    worker: Worker,
-    jobs: int | None = 1,
-    progress: typing.Callable[[str], None] | None = None,
-    metrics: MetricsRegistry | None = None,
-) -> list:
-    """Run ``worker`` over ``tasks``; results in task order.
-
-    ``jobs <= 1`` executes inline (the exact serial code path);
-    ``jobs > 1`` shards tasks across a spawn-context process pool.
-    Either way the returned list lines up index-for-index with
-    ``tasks``, and a failing task raises :class:`WorkerCrashError`
-    naming it.
-    """
-    tasks = list(tasks)
-    seen: set[str] = set()
-    for task_id, _ in tasks:
-        if task_id in seen:
-            raise ParallelError(f"duplicate task id {task_id!r}")
-        seen.add(task_id)
-    jobs = resolve_jobs(jobs)
-    tracker = _Progress(len(tasks), metrics)
-
-    if jobs <= 1 or len(tasks) <= 1:
-        results = []
-        for k, (task_id, payload) in enumerate(tasks):
-            status, value, wall = _guarded(worker, task_id, payload)
-            if status == "error":
-                tracker.fail(task_id, progress=progress)
-                raise WorkerCrashError(task_id, value)
-            tracker.ok(wall)
-            if progress is not None:
-                progress(f"[{k + 1}/{len(tasks)}] {task_id} done")
-            results.append(value)
-        return results
-
-    results_by_index: dict[int, typing.Any] = {}
-    context = multiprocessing.get_context("spawn")
-    executor = concurrent.futures.ProcessPoolExecutor(
-        max_workers=min(jobs, len(tasks)), mp_context=context
-    )
-    try:
-        futures = {
-            executor.submit(_guarded, worker, task_id, payload): (i, task_id)
-            for i, (task_id, payload) in enumerate(tasks)
-        }
-        completed = 0
-        for future in concurrent.futures.as_completed(futures):
-            index, task_id = futures[future]
-            exc = future.exception()
-            if exc is not None:
-                # Hard death (BrokenProcessPool) or unpicklable result.
-                tracker.fail(task_id, progress=progress)
-                raise WorkerCrashError(task_id, f"{type(exc).__name__}: {exc}")
-            status, value, wall = future.result()
-            if status == "error":
-                tracker.fail(task_id, progress=progress)
-                raise WorkerCrashError(task_id, value)
-            tracker.ok(wall)
-            completed += 1
-            if progress is not None:
-                progress(f"[{completed}/{len(tasks)}] {task_id} done")
-            results_by_index[index] = value
-    finally:
-        # cancel_futures keeps a crash from waiting out the queue; the
-        # workers themselves exit with the (non-daemonic) pool.
-        executor.shutdown(wait=True, cancel_futures=True)
-    return [results_by_index[i] for i in range(len(tasks))]

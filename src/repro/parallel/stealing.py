@@ -1,25 +1,26 @@
 """Dynamic work-stealing fan-out: one task queue, greedy workers.
 
-:func:`repro.parallel.pool.fanout` hands each worker a *fixed* slice of
-the task list (one future per task, but shards are decided up front by
-the caller).  For sweeps over heterogeneous configs that static split
-is the straggler problem: one slow config pins a worker while its
-siblings idle.  This module replaces the split with a single shared
-queue of per-config units that spawn workers drain greedily — a worker
-that finishes early simply steals the next unit, so the makespan tracks
-the slowest *unit*, not the slowest *shard*.
+The one fan-out engine behind ``--jobs N`` (experiment sweeps,
+``repro compare`` and the bench suite).  Units go into a single shared
+queue that spawn workers drain greedily: a worker that finishes early
+simply takes the next unit, so one slow config never pins a worker
+while its siblings idle, and the makespan tracks the slowest *unit*.
 
-Determinism contract (same as ``fanout``): workers are shared-nothing
-spawn processes, every unit builds its own seeded simulation, and the
-merge is positional — which worker ran a unit, and in what order units
-completed, can change wall time and :class:`StealStats` only, never
-results.  ``tests/experiments/test_parallel_golden.py`` pins the
-bit-identical half.
+Determinism contract: workers are shared-nothing spawn processes (a
+fresh interpreter each, so no memoisation cache, stamp counter or RNG
+state leaks between them), every unit builds its own seeded
+simulation, and the merge is positional — which worker ran a unit, and
+in what order units completed, can change wall time and
+:class:`StealStats` only, never results (simlint DET005 guards the
+"never results" half).  ``tests/experiments/test_parallel_golden.py``
+pins the bit-identical half.
 
-Failures keep ``fanout`` semantics: a unit that raises — or a worker
-process that dies outright — surfaces as
-:class:`~repro.errors.WorkerCrashError` naming the unit, after the pool
-is torn down.
+Failures: a unit that raises surfaces as
+:class:`~repro.errors.WorkerCrashError` naming the unit, with the
+worker-side traceback.  A worker process that dies outright (os._exit,
+OOM-kill) is attributed to the unit it announced in its ``start``
+message.  Either way the pool is torn down before the error
+propagates.
 """
 
 from __future__ import annotations

@@ -6,7 +6,6 @@ both claims are checked here against exact references
 streams.
 """
 
-import math
 import random
 import statistics
 
@@ -17,9 +16,6 @@ from hypothesis import strategies as st
 from repro.errors import ConfigError
 from repro.obs.streaming import (
     LogHistogram,
-    P2Quantile,
-    QuantileSketch,
-    ReservoirSample,
     WindowedCounter,
     WindowedTally,
 )
@@ -56,7 +52,7 @@ def test_log_histogram_relative_error_bound(seed, dist):
     hist = LogHistogram()
     for x in data:
         hist.observe(x)
-    bound = 1.0 / hist.subbuckets
+    bound = 1.0 / LogHistogram.SUBBUCKETS
     for q in (0.5, 0.9, 0.99, 0.999):
         exact = exact_quantile(data, q)
         estimate = hist.quantile(q)
@@ -76,7 +72,7 @@ def test_log_histogram_vs_statistics_quantiles():
     for pct in (50, 90, 99):
         exact = cuts[pct - 1]
         estimate = hist.quantile(pct / 100.0)
-        assert abs(estimate - exact) <= exact / hist.subbuckets + 1e-12
+        assert abs(estimate - exact) <= exact / LogHistogram.SUBBUCKETS + 1e-12
 
 
 def test_log_histogram_bulk_equals_scalar_exactly():
@@ -113,52 +109,6 @@ def test_log_histogram_memory_constant_in_stream_length():
         # The bin array never grows; the sketch holds no samples.
         assert len(hist._bins) == nbins
     assert hist.count == 10_100
-
-
-# -- P2 -------------------------------------------------------------------
-@pytest.mark.parametrize("seed", [1, 13, 99])
-def test_p2_median_tracks_exact(seed):
-    rng = random.Random(seed)
-    data = [rng.gauss(10.0, 2.0) for _ in range(10_000)]
-    sketch = P2Quantile(0.5)
-    for x in data:
-        sketch.observe(x)
-    exact = exact_quantile(data, 0.5)
-    assert abs(sketch.value() - exact) <= 0.05 * abs(exact)
-    assert len(sketch._heights) == 5  # O(1): five markers forever
-
-
-def test_p2_exact_below_five_samples():
-    sketch = P2Quantile(0.5)
-    for x in (3.0, 1.0, 2.0):
-        sketch.observe(x)
-    assert sketch.value() == 2.0
-
-
-# -- reservoir ------------------------------------------------------------
-def test_reservoir_exact_until_full_and_bounded_after():
-    rng = random.Random(4)
-    sample = ReservoirSample(random.Random(0), size=64)
-    data = [rng.random() for _ in range(64)]
-    for x in data:
-        sample.observe(x)
-    assert sample.quantile(0.5) == exact_quantile(data, 0.5)
-    for _ in range(10_000):
-        sample.observe(rng.random())
-    assert len(sample._buf) == 64
-    assert sample.count == 10_064
-
-
-def test_reservoir_deterministic_given_seed():
-    def fill(seed):
-        sample = ReservoirSample(random.Random(seed), size=16)
-        feed = random.Random(8)
-        for _ in range(1_000):
-            sample.observe(feed.random())
-        return list(sample._buf)
-
-    assert fill(5) == fill(5)
-    assert fill(5) != fill(6)
 
 
 # -- windowed tally vs brute-force oracle ---------------------------------
@@ -276,47 +226,28 @@ def test_windowed_tally_idle_gap_resets_slots():
     assert tally.count == 2
 
 
-# -- QuantileSketch bundle ------------------------------------------------
-def test_quantile_sketch_modes():
+# -- LogHistogram row cache ---------------------------------------------
+def test_log_histogram_row_cached_until_next_observe():
     rng = random.Random(21)
     data = [rng.expovariate(100.0) for _ in range(3_000)]
-    hist = QuantileSketch()  # default: histogram backend
-    p2 = QuantileSketch(mode="p2")
-    res = QuantileSketch(mode="reservoir", rng=random.Random(0),
-                         reservoir_size=256)
-    for x in data:
-        hist.observe(x)
-        p2.observe(x)
-        res.observe(x)
-    exact = exact_quantile(data, 0.5)
-    for sketch in (hist, p2, res):
-        assert sketch.count == len(data)
-        assert sketch.minimum == min(data)
-        assert sketch.maximum == max(data)
-        assert sketch.quantile(0.5) == pytest.approx(exact, rel=0.1)
-        row = sketch.as_dict()
-        assert set(row) >= {"count", "min", "max", "p50", "p99", "p999"}
+    hist = LogHistogram()
+    hist.observe_many(data)
+    row = hist.as_dict()
+    assert list(row) == ["count", "min", "max", "p50", "p99", "p999"]
+    assert row["count"] == len(data)
+    assert row["min"] == min(data) and row["max"] == max(data)
+    assert row["p50"] == pytest.approx(exact_quantile(data, 0.5), rel=0.1)
+    # Count unchanged: the very same row object comes back.
+    assert hist.as_dict() is row
+    hist.observe(1.0)
+    fresh = hist.as_dict()
+    assert fresh is not row
+    assert fresh["count"] == len(data) + 1 and fresh["max"] == 1.0
+    assert row["count"] == len(data)  # the old row is left as it was
 
 
-def test_quantile_sketch_validation():
-    with pytest.raises(ConfigError):
-        QuantileSketch(mode="nope")
-    with pytest.raises(ConfigError):
-        QuantileSketch(mode="reservoir")  # rng required
-    with pytest.raises(ConfigError):
-        P2Quantile(1.5)
-    with pytest.raises(ConfigError):
-        ReservoirSample(random.Random(0), size=0)
+def test_windowed_series_validation():
     with pytest.raises(ConfigError):
         WindowedTally(Clock(), window=0.0)
     with pytest.raises(ConfigError):
         WindowedCounter(Clock(), window=1.0, buckets=0)
-    with pytest.raises(ConfigError):
-        LogHistogram(subbuckets=0)
-
-
-def test_p2_mode_untracked_quantile_raises():
-    sketch = QuantileSketch(mode="p2")
-    sketch.observe(1.0)
-    with pytest.raises(ConfigError):
-        sketch.quantile(0.42)

@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import ParallelError, WorkerCrashError
 from repro.obs import MetricsRegistry
-from repro.parallel import StealStats, WorkerStats, steal_fanout
+from repro.parallel import StealStats, WorkerStats, resolve_jobs, steal_fanout
 
 from .workers import (
     crash_on_three,
@@ -28,8 +28,16 @@ def test_serial_drain_preserves_order():
 
 
 def test_parallel_drain_results_in_task_order():
-    results, stats = steal_fanout(TASKS, square, jobs=2)
+    lines: list[str] = []
+    metrics = MetricsRegistry()
+    results, stats = steal_fanout(
+        TASKS, square, jobs=2, progress=lines.append, metrics=metrics
+    )
     assert results == [i * i for i in range(6)]
+    assert len(lines) == len(TASKS)
+    assert all("done" in line for line in lines)
+    assert metrics.get("parallel.tasks_done").count == len(TASKS)
+    assert metrics.get("parallel.tasks_failed").count == 0
     assert stats.jobs == 2
     assert sum(w.tasks for w in stats.workers) == len(TASKS)
     drained = sorted(
@@ -76,6 +84,14 @@ def test_hard_death_names_the_inflight_unit():
     assert "exit code" in excinfo.value.worker_traceback
 
 
+def test_pool_survives_a_crash():
+    """A crash tears the pool down cleanly; the next fan-out works."""
+    with pytest.raises(WorkerCrashError):
+        steal_fanout([("a", 3), ("b", 4)], crash_on_three, jobs=2)
+    results, _ = steal_fanout([("a", 1), ("b", 2)], crash_on_three, jobs=2)
+    assert results == [10, 20]
+
+
 def test_serial_crash_names_the_unit_and_reports_progress():
     lines: list[str] = []
     with pytest.raises(WorkerCrashError) as excinfo:
@@ -84,6 +100,13 @@ def test_serial_crash_names_the_unit_and_reports_progress():
         )
     assert excinfo.value.task_id == "only"
     assert any("only" in line and "FAILED" in line for line in lines)
+
+
+def test_failed_metric_increments():
+    metrics = MetricsRegistry()
+    with pytest.raises(WorkerCrashError):
+        steal_fanout([("x", 3)], crash_on_three, jobs=1, metrics=metrics)
+    assert metrics.get("parallel.tasks_failed").count == 1
 
 
 def test_duplicate_unit_id_rejected():
@@ -125,3 +148,12 @@ def test_stats_balance_ignores_idle_workers():
         WorkerStats(worker_id=1, tasks=0, busy_seconds=0.0),
     ])
     assert stats.balance == 1.0
+
+
+def test_resolve_jobs():
+    assert resolve_jobs(None) == 1
+    assert resolve_jobs(1) == 1
+    assert resolve_jobs(5) == 5
+    assert resolve_jobs(0) >= 1
+    with pytest.raises(ParallelError):
+        resolve_jobs(-2)

@@ -1,7 +1,8 @@
-"""Module-level workers for the pool tests.
+"""Module-level workers for the fan-out tests.
 
 The spawn start method pickles workers by qualified name, so anything
-a test sends to ``fanout`` must live here, not in a test function.
+a test sends to ``steal_fanout`` must live here, not in a test
+function.
 """
 
 from __future__ import annotations

@@ -23,6 +23,40 @@ def test_compare_runs_small_workload(capsys):
     assert "S4D routing" in out
 
 
+def _comparison_table(out: str) -> list[str]:
+    """The bandwidth/routing lines of a compare run (no progress lines)."""
+    return [
+        line for line in out.splitlines()
+        if line.startswith(("write", "read (2nd run)", "S4D routing",
+                            "cache ratios"))
+    ]
+
+
+def test_compare_jobs2_matches_serial_and_warm_cache_answers(
+        tmp_path, capsys):
+    """--jobs 2 runs stock and S4D in spawn workers: same numbers as
+    --jobs 1, and a warm re-run answers both units from the cache."""
+    flags = [
+        "compare", "--processes", "2", "--requests-per-rank", "16",
+        "--dservers", "2", "--cservers", "2",
+    ]
+    assert main(flags + ["--jobs", "1", "--no-result-cache"]) == 0
+    serial = capsys.readouterr().out
+    cache = ["--jobs", "2", "--cache-dir", str(tmp_path / "cache")]
+    assert main(flags + cache) == 0
+    cold = capsys.readouterr().out
+    assert main(flags + cache) == 0
+    warm = capsys.readouterr().out
+
+    table = _comparison_table(serial)
+    assert len(table) == 4
+    assert _comparison_table(cold) == table
+    assert _comparison_table(warm) == table
+    assert "sweep cache hit" not in cold
+    assert "stock: sweep cache hit" in warm
+    assert "s4d: sweep cache hit" in warm
+
+
 def test_replay_trace(tmp_path, capsys):
     trace = tmp_path / "t.trace"
     trace.write_text(

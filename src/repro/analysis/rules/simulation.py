@@ -55,7 +55,15 @@ class AcquireWithoutFinallyRule(Rule):
     """SIM001: a process that acquires a slot and raises (or is killed)
     before releasing it wedges the resource for the rest of the run —
     the classic source of phantom deadlocks in DES code.  Every acquire
-    needs its release in a ``finally``."""
+    needs its release in a ``finally``.
+
+    Both accepted shapes are kill-safe: ``g = yield r.acquire()`` and
+    the in-place form ``g = r.acquire(); if not sim.take(g): yield g``,
+    each followed by ``try: ... finally: r.release(g)``.  A kill that
+    lands while the process waits on the grant — before the ``try`` —
+    is covered by ``Process.kill``, which withdraws a queued grant and
+    releases a granted-but-undelivered one; once inside the ``try``,
+    the ``finally`` releases it."""
 
     code = "SIM001"
     name = "acquire-needs-finally-release"

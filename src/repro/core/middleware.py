@@ -27,6 +27,7 @@ import typing
 
 from ..devices.base import OP_WRITE
 from ..errors import CacheError
+from ..iosig.tracer import TraceRecord
 from ..kvstore import HashDB, LockManager
 from ..mpiio.api import DirectIO, FileHandle, IOLayer
 from ..obs import NULL_CONTEXT
@@ -102,10 +103,12 @@ class S4DCacheMiddleware(IOLayer):
                       coalesce=coalesce)
             for node in range(direct.num_nodes)
         ]
+        # The movers always spawn their sub-flows: Rebuilder.stop kills
+        # in-flight movements, and their sub-flows outlive the kill.
         self._mover_opfs = PFSClient(sim, direct.pfs, direct.fabric, "mover",
-                                     coalesce=coalesce)
+                                     coalesce=coalesce, inline=False)
         self._mover_cpfs = PFSClient(sim, cpfs, direct.fabric, "mover",
-                                     coalesce=coalesce)
+                                     coalesce=coalesce, inline=False)
         self.rebuilder = Rebuilder(
             sim,
             self.dmt,
@@ -190,12 +193,15 @@ class S4DCacheMiddleware(IOLayer):
         if ctx is None:
             ctx = NULL_CONTEXT
         traced = ctx is not NULL_CONTEXT
-        start = self.sim.now
+        sim = self.sim
+        start = sim.now
         # Identifier + Redirector bookkeeping costs (measured by Fig. 11).
         if traced:
             id_span = ctx.begin("benefit_eval", cat="middleware",
                                 component="app", op=op)
-        yield self.sim.timeout(self.lookup_overhead)
+        lookup = sim.timeout(self.lookup_overhead)
+        if not sim.take(lookup):
+            yield lookup
         benefit, cdt_entry = self.identifier.observe(
             rank, handle.path, op, offset, size
         )
@@ -209,9 +215,10 @@ class S4DCacheMiddleware(IOLayer):
         owner = self._owner_names.get(rank)
         if owner is None:
             owner = self._owner_names[rank] = f"rank{rank}"
-        token = yield self.locks.acquire(
-            self._lock_key(handle.path, offset), owner=owner
-        )
+        lock = self.locks.acquire(self._lock_key(handle.path, offset),
+                                  owner=owner)
+        if not sim.take(lock):
+            yield lock
         if traced:
             ctx.end(wait_span)
         try:
@@ -230,13 +237,15 @@ class S4DCacheMiddleware(IOLayer):
                     sync_span = ctx.begin("metadata_sync", cat="middleware",
                                           component="app",
                                           mutations=plan.metadata_mutations)
-                yield self.sim.timeout(
+                sync = sim.timeout(
                     plan.metadata_mutations * self.metadata_sync_cost
                 )
+                if not sim.take(sync):
+                    yield sync
                 if traced:
                     ctx.end(sync_span)
         finally:
-            self.locks.release(token)
+            self.locks.release(lock)
 
         try:
             result = yield from self._execute(rank, handle, plan, offset,
@@ -244,10 +253,8 @@ class S4DCacheMiddleware(IOLayer):
         finally:
             plan.release()
         if self.stream is not None:
-            self.stream.observe(self.sim.now - start)
+            self.stream.observe(sim.now - start)
         if self.tracer is not None:
-            from ..iosig.tracer import TraceRecord
-
             d_bytes = sum(
                 s.size for s in plan.steps if s.target != TO_CSERVERS
             )
@@ -278,17 +285,37 @@ class S4DCacheMiddleware(IOLayer):
             exec_span = ctx.begin("execute", cat="middleware",
                                   component="app", steps=len(plan.steps))
         exec_ctx = ctx.under(exec_span)
-        flow_name = "s4d:" + plan.op
-        flows = [
-            self.sim.spawn(
-                self._step_flow(rank, d_handle, c_handle, plan.op, step,
-                                stamp, priority, exec_ctx),
-                name=flow_name,
-            )
-            for step in plan.steps
-        ]
+        sim = self.sim
+        steps = plan.steps
         try:
-            step_results = yield self.sim.all_of(flows)
+            if len(steps) == 1:
+                # A one-step plan runs in this process; zero-delay
+                # slots keep the spawned flow's schedule (see
+                # PFSClient._io).
+                slot = sim.timeout(0.0)  # the flow's bootstrap frame
+                if not sim.take(slot):
+                    yield slot
+                step_results = [(yield from self._step_flow(
+                    rank, d_handle, c_handle, plan.op, steps[0], stamp,
+                    priority, exec_ctx,
+                ))]
+                slot = sim.timeout(0.0)  # its completion event
+                if not sim.take(slot):
+                    yield slot
+                slot = sim.timeout(0.0)  # the AllOf firing
+                if not sim.take(slot):
+                    yield slot
+            else:
+                flow_name = "s4d:" + plan.op
+                flows = [
+                    sim.spawn(
+                        self._step_flow(rank, d_handle, c_handle, plan.op,
+                                        step, stamp, priority, exec_ctx),
+                        name=flow_name,
+                    )
+                    for step in steps
+                ]
+                step_results = yield sim.all_of(flows)
         finally:
             if exec_span is not None:
                 ctx.end(exec_span)

@@ -27,20 +27,37 @@ class LockToken:
         self.owner = owner
 
 
+class LockRequest(Event):
+    """The event :meth:`LockManager.acquire` returns; fires with its token.
+
+    It carries the token from the start, so a holder may pass the
+    request itself to :meth:`LockManager.release` — the shape the
+    ``lock = locks.acquire(...); if not sim.take(lock): yield lock``
+    idiom needs.  Being its own class keeps it out of the engine's
+    generic-event pool, so the handle stays valid until released.
+    """
+
+    __slots__ = ("token",)
+
+    def __init__(self, sim: "Simulator", token: LockToken):
+        super().__init__(sim)
+        self.token = token
+
+
 class LockManager:
     """Per-key mutual exclusion with FIFO granting."""
 
     def __init__(self, sim: "Simulator"):
         self.sim = sim
         self._held: dict[str, LockToken] = {}
-        self._waiters: dict[str, list[tuple[Event, LockToken]]] = {}
+        self._waiters: dict[str, list[tuple[LockRequest, LockToken]]] = {}
         self.acquisitions = 0
         self.contentions = 0
 
-    def acquire(self, key: str, owner: str = "") -> Event:
+    def acquire(self, key: str, owner: str = "") -> LockRequest:
         """Request the lock on ``key``; yields the token when granted."""
         token = LockToken(key, owner)
-        event = Event(self.sim)
+        event = LockRequest(self.sim, token)
         if key not in self._held:
             self._held[key] = token
             self.acquisitions += 1
@@ -50,7 +67,10 @@ class LockManager:
             self._waiters.setdefault(key, []).append((event, token))
         return event
 
-    def release(self, token: LockToken) -> None:
+    def release(self, token: LockToken | LockRequest) -> None:
+        """Release a held lock, by its token or its granted request."""
+        if token.__class__ is LockRequest:
+            token = token.token
         held = self._held.get(token.key)
         if held is not token:
             raise KVStoreError(

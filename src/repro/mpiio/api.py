@@ -18,6 +18,7 @@ import typing
 
 from ..devices.base import OP_READ, OP_WRITE
 from ..errors import MPIIOError
+from ..iosig.tracer import TraceRecord
 from ..network import Fabric
 from ..obs import NULL_TRACER
 from ..pfs import DEFAULT_COALESCE, PFS, IOResult, PFSClient
@@ -151,8 +152,6 @@ class DirectIO(IOLayer):
         else:
             raise MPIIOError(f"unknown op {op!r}")
         if self.tracer is not None:
-            from ..iosig.tracer import TraceRecord
-
             self.tracer.record(
                 TraceRecord(
                     time=result.start_time,

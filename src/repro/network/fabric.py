@@ -95,15 +95,24 @@ class Fabric:
                 "transfer", cat="network", component=f"nic:{src}",
                 src=src, dst=dst, size=size,
             )
+        # ``if not sim.take(ev): yield ev`` is ``yield ev`` minus the
+        # engine round trip when ``ev`` is the very next event anyway.
+        sim = self.sim
         try:
-            tx_grant = yield sender.tx.acquire(priority)
+            tx_grant = sender.tx.acquire(priority)
+            if not sim.take(tx_grant):
+                yield tx_grant
             try:
-                rx_grant = yield receiver.rx.acquire(priority)
+                rx_grant = receiver.rx.acquire(priority)
+                if not sim.take(rx_grant):
+                    yield rx_grant
                 try:
                     sb = sender.bandwidth
                     rb = receiver.bandwidth
                     wire = size / (sb if sb < rb else rb)
-                    yield self.sim.timeout(self.spec.latency + wire)
+                    wait = sim.timeout(self.spec.latency + wire)
+                    if not sim.take(wait):
+                        yield wait
                 finally:
                     receiver.rx.release(rx_grant)
             finally:
@@ -115,7 +124,7 @@ class Fabric:
         receiver.bytes_received += size
         self.total_transfers += 1
         self.total_bytes += size
-        return self.sim.now
+        return sim.now
 
     def request_response(
         self,

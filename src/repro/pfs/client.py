@@ -74,13 +74,19 @@ class PFSClient:
 
     def __init__(
         self, sim: "Simulator", pfs: PFS, fabric: Fabric, endpoint: str,
-        coalesce: bool = DEFAULT_COALESCE,
+        coalesce: bool = DEFAULT_COALESCE, inline: bool = True,
     ):
         self.sim = sim
         self.pfs = pfs
         self.fabric = fabric
         self.endpoint = endpoint
         self.coalesce = coalesce
+        #: Run a request that plans to one sub-request in the calling
+        #: process instead of a spawned flow (same event schedule, see
+        #: :meth:`_io`).  ``False`` always spawns: a caller that may be
+        #: killed mid-request (the Rebuilder's movements) then leaves
+        #: its sub-flows running to completion, as they always have.
+        self.inline = inline
         fabric.add_endpoint(endpoint)
         for server in pfs.servers:
             fabric.add_endpoint(server.name)
@@ -159,16 +165,33 @@ class PFSClient:
                 sub_requests=len(subs),
             )
         sub_ctx = ctx.under(span)
-        # One shared debug name per request (not per sub-request): the
-        # per-sub f-string was a measurable allocation on the hot path.
-        flow_name = f"{op}:{handle.name}"
-        flows = self.sim.spawn_many(
-            (self._sub_flow(op, handle, sub, priority, sub_ctx)
-             for sub in subs),
-            name=flow_name,
-        )
+        sim = self.sim
         try:
-            yield self.sim.all_of(flows)
+            if self.inline and len(subs) == 1:
+                # The lone sub-flow runs right here.  Zero-delay slots
+                # stand exactly where a spawned flow's events would be,
+                # so every later event keeps its (time, seq) position.
+                slot = sim.timeout(0.0)  # the flow's bootstrap frame
+                if not sim.take(slot):
+                    yield slot
+                yield from self._sub_flow(op, handle, subs[0], priority,
+                                          sub_ctx)
+                slot = sim.timeout(0.0)  # its completion event
+                if not sim.take(slot):
+                    yield slot
+                slot = sim.timeout(0.0)  # the AllOf firing
+                if not sim.take(slot):
+                    yield slot
+            else:
+                # One shared debug name per request (not per sub-request):
+                # the per-sub f-string was a measurable allocation on the
+                # hot path.
+                flows = sim.spawn_many(
+                    (self._sub_flow(op, handle, sub, priority, sub_ctx)
+                     for sub in subs),
+                    name=f"{op}:{handle.name}",
+                )
+                yield sim.all_of(flows)
         finally:
             if span is not None:
                 ctx.end(span)

@@ -40,6 +40,10 @@ from .events import AllOf, AnyOf, Event, Timeout, _Frame
 from .process import Process, ProcessBody
 from .rng import RandomStreams
 
+#: The dispatch hook of every event class the run loop dispatches
+#: generically (plain events, grants, conditions, processes).
+_GENERIC_PROCESS = Event._process
+
 #: Upper bound on pooled Timeout instances kept for reuse.
 _TIMEOUT_POOL_LIMIT = 256
 #: Upper bound on pooled process bootstrap frames kept for reuse.
@@ -88,7 +92,13 @@ class Simulator:
         self._event_limit = _EVENT_POOL_LIMIT if pooling else 0
         self._seq = 0
         self._next_pid = 0
+        #: The process the run loop is resuming in place right now, or
+        #: None — during every other resume (callbacks, kills, the
+        #: profiler's loop, ``step()``) and between dispatches.  Only
+        #: this process may consume events through :meth:`take`.
         self._active_process: Process | None = None
+        #: The ``until`` bound of the running :meth:`run` call.
+        self._until: float | None = None
         #: ``(time, seq, event)`` tuples handed to the timed queue —
         #: one per heap push.  Allocation receipts read this to report
         #: tuple churn honestly.
@@ -279,6 +289,63 @@ class Simulator:
         """
         return [Process(self, body, name=name) for body in bodies]
 
+    def take(self, event: Event) -> bool:
+        """Consume ``event`` in place if it is provably the next dispatch.
+
+        The idiom ``if not sim.take(ev): yield ev`` behaves exactly like
+        ``yield ev`` but skips the suspend/pop/resume round trip when
+        nothing else can run in between.  ``take`` fires only when
+
+        - the caller is the process the run loop is resuming in place
+          (so nothing else runs after it yields within this dispatch),
+        - ``event`` is scheduled, has no waiter and did not fail, and
+        - it is the next event the loop would pop: the run-queue front
+          with no timed entry at ``now`` of a lower seq, or, with the
+          run queue empty, the timed-queue front within ``until``.
+
+        It then marks the event processed and recycles it exactly as
+        the dispatch would (timeouts and plain events return to their
+        pools; a grant becomes poolable on ``release``), advancing the
+        clock for a timed event.  The event kept its seq when it was
+        scheduled, so :attr:`events_scheduled` still counts it and the
+        ``(time, seq)`` schedule is unchanged.  Returns False — the
+        caller must yield — outside :meth:`run`, under an attached
+        profiler, or whenever any condition fails.
+        """
+        # Cheapest refusals first: most failed takes meet a busy queue.
+        if self._active_process is None or event._cb0 is not None:
+            return False
+        runq = self._runq
+        heap = self._heap
+        if runq:
+            if runq[0] is not event or (
+                heap and heap[0][0] <= self.now and heap[0][1] < event._qseq
+            ):
+                return False
+        elif (not heap or heap[0][2] is not event
+              or (self._until is not None and heap[0][0] > self._until)
+              or (self._cancelled and event in self._cancelled)):
+            return False
+        cls = event.__class__
+        if cls is not Timeout and (event._exc is not None
+                                   or cls._process is not _GENERIC_PROCESS):
+            return False
+        if runq:
+            runq.popleft()
+        else:
+            self.now = heapq.heappop(heap)[0]
+            self._timed_ready = True
+        event._processed = True
+        if cls is Timeout:
+            if len(self._timeout_pool) < self._timeout_limit:
+                self._timeout_pool.append(event)
+            return True
+        event._had_joiners = True
+        if cls is Event and len(self._event_pool) < self._event_limit:
+            event._value = None
+            self._event_pool.append(event)
+        return True
+
     # -- engine plumbing --------------------------------------------------
     def _schedule(self, event: Event, delay: float) -> None:
         if delay == 0.0:
@@ -431,11 +498,12 @@ class Simulator:
         crashed = self._crashed
         cancelled = self._cancelled
         heappop = heapq.heappop
-        generic_process = Event._process
+        generic_process = _GENERIC_PROCESS
         resume = _events._RESUME
         # External drives (step/_pop_merged) do not maintain the merge
         # cache; re-verify on entry.
         self._timed_ready = True
+        self._until = until
         while True:
             # -- pop ----------------------------------------------------
             if runq and not self._timed_ready:

@@ -16,6 +16,7 @@ import typing
 from ..errors import ProcessKilled, SimulationError
 from . import events
 from .events import Event, _Frame
+from .resources import Grant
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from .core import Simulator
@@ -76,7 +77,17 @@ class Process(Event):
         return not self.triggered
 
     def kill(self, reason: str = "") -> None:
-        """Throw :class:`ProcessKilled` into the process at the current time."""
+        """Throw :class:`ProcessKilled` into the process at the current time.
+
+        Kill-safe for resource grants: a process killed while waiting on
+        a :class:`~repro.sim.resources.Grant` gives it back.  A grant
+        still queued is withdrawn before the throw (it can never be
+        granted to a dead process); a grant already granted but not yet
+        delivered is released after the throw unless the process's own
+        cleanup released it.  So ``g = yield r.acquire()`` and
+        ``if not sim.take(g): yield g`` never leak a slot, even though
+        the kill lands before their ``try``.
+        """
         if self.triggered:
             return
         if not self._started:
@@ -85,7 +96,14 @@ class Process(Event):
             self._presume = None
             self.succeed(None)
             return
+        grant = self._waiting_on
+        if grant.__class__ is not Grant:
+            grant = None
+        elif not grant._triggered:
+            grant.resource._withdraw(grant)
         self._throw_in(ProcessKilled(reason or f"process {self.name} killed"))
+        if grant is not None and grant._triggered and not grant.released:
+            grant.resource.release(grant)
 
     # -- engine plumbing -------------------------------------------------
     def _resume(self, event: Event) -> None:
@@ -101,7 +119,10 @@ class Process(Event):
             return
         self._waiting_on = None
         sim = self.sim
-        sim._active_process = self
+        # Not the run loop's in-place resume: whatever called us may
+        # still run after this process yields, so Simulator.take must
+        # refuse — here and for the rest of the enclosing dispatch.
+        sim._active_process = None
         try:
             if event._exc is None:
                 # The first resume is the bootstrap event, whose value
@@ -116,8 +137,6 @@ class Process(Event):
         except BaseException as exc:  # noqa: BLE001 - propagate as failure
             self._fail_with(exc)
             return
-        finally:
-            sim._active_process = None
         self._started = True
         if isinstance(target, Event) and target.sim is sim:
             self._waiting_on = target
@@ -140,7 +159,8 @@ class Process(Event):
 
     def _throw_in(self, exc: BaseException) -> None:
         """Inject an exception into the generator right now."""
-        self.sim._active_process = self
+        # The thrower keeps running afterwards: no in-place takes.
+        self.sim._active_process = None
         try:
             self.body.throw(exc)
         except StopIteration as stop:
@@ -154,8 +174,6 @@ class Process(Event):
             self._fail_with(
                 SimulationError(f"process {self.name} ignored injected exception")
             )
-        finally:
-            self.sim._active_process = None
 
     def _fail_with(self, exc: BaseException) -> None:
         """Record generator failure; escalate if nobody is joining us."""

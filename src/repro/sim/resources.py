@@ -159,6 +159,16 @@ class PriorityResource:
             grant._value = None
             self._grant_pool.append(grant)
 
+    def _withdraw(self, grant: Grant) -> None:
+        """Drop a still-queued grant (its process was killed)."""
+        waiters = self._waiters
+        for index, entry in enumerate(waiters):
+            if entry[2] is grant:
+                waiters[index] = waiters[-1]
+                waiters.pop()
+                heapq.heapify(waiters)
+                return
+
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"<PriorityResource {self.name or id(self)} "

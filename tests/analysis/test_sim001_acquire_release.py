@@ -95,3 +95,50 @@ def test_inline_disable_suppresses():
         """
     )
     assert findings == []
+
+
+def test_take_idiom_with_finally_release_not_flagged():
+    findings = lint_snippet(
+        """
+        def flow(sim, device):
+            grant = device.acquire()
+            if not sim.take(grant):
+                yield grant
+            try:
+                yield sim.timeout(1.0)
+            finally:
+                device.release(grant)
+        """
+    )
+    assert findings == []
+
+
+def test_take_idiom_without_finally_flagged():
+    findings = lint_snippet(
+        """
+        def flow(sim, device):
+            grant = device.acquire()
+            if not sim.take(grant):
+                yield grant
+            yield sim.timeout(1.0)
+            device.release(grant)
+        """
+    )
+    assert codes(findings) == ["SIM001"]
+    assert "'grant'" in findings[0].message
+
+
+def test_take_idiom_lock_released_by_request_not_flagged():
+    findings = lint_snippet(
+        """
+        def critical(sim, locks):
+            lock = locks.acquire("dmt", owner="rank0")
+            if not sim.take(lock):
+                yield lock
+            try:
+                yield sim.timeout(1.0)
+            finally:
+                locks.release(lock)
+        """
+    )
+    assert findings == []

@@ -245,3 +245,38 @@ def test_fetch_pass_takes_sorted_prefix_within_budget(
     if batch:
         expected.append(batch)
     assert batches == expected
+
+
+def test_killed_movements_leave_their_sub_flows_running(s4d_cluster):
+    """Rebuilder.stop kills in-flight movements, but the mover clients
+    spawn every sub-flow, so the I/O already on the wire completes and
+    no NIC or server slot stays held."""
+    mw = s4d_cluster.middleware
+    sim = s4d_cluster.sim
+    cservers = s4d_cluster.cservers
+    served = []
+
+    def body():
+        f, _ = yield from open_and_write(mw, [0, 8 * MiB, 24 * MiB])()
+        # Wait for the periodic flush to start its batch: the three
+        # cache reads are then on their first network hop.
+        while not mw.rebuilder._active_batch:
+            yield sim.timeout(1e-6)
+        assert len(mw.rebuilder._active_batch) == 3
+        served.append(sum(s.requests_served for s in cservers))
+        mw.rebuilder.stop()
+        yield sim.timeout(1.0)
+        served.append(sum(s.requests_served for s in cservers))
+        yield from f.close()
+
+    sim.run_process(body())
+    assert not mw._mover_opfs.inline and not mw._mover_cpfs.inline
+    # Each killed movement's cache read still reached its server ...
+    assert served[1] - served[0] == 3
+    # ... while the movements themselves were discarded.
+    assert mw.metrics.flushes == 0
+    assert all(e.dirty for e in mw.dmt.all_extents())
+    for link in (mw.fabric.endpoint("mover"),):
+        assert (link.tx.in_use, link.rx.in_use) == (0, 0)
+    for server in list(cservers) + list(s4d_cluster.dservers):
+        assert (server.queue.in_use, server.queue.queue_length) == (0, 0)

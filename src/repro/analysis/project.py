@@ -67,6 +67,7 @@ TAINT_NUMPY_OK = frozenset({
 #: the event order of the run.  -1 means "any argument".
 SINK_POSITIONS: dict[str, int] = {
     "timeout": 0,
+    "advance": 0,
     "_schedule": 1,
     "succeed": 1,
     "fail": 1,
@@ -594,7 +595,8 @@ def sink_arguments(
 ) -> typing.Iterator[tuple[int, ast.AST]]:
     """The (position, argument) pairs of ``call`` that land in a sink.
 
-    Covers the scheduling-delay table (``timeout``/``succeed``/…), bulk
+    Covers the scheduling-delay table (``timeout``/``advance``/
+    ``succeed``/…), bulk
     arming (``schedule_many`` — every argument), and digest updates on
     receivers whose name betrays a hash (``self._digest.update(x)``).
     """

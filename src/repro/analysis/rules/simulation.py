@@ -60,10 +60,12 @@ class AcquireWithoutFinallyRule(Rule):
     Both accepted shapes are kill-safe: ``g = yield r.acquire()`` and
     the in-place form ``g = r.acquire(); if not sim.take(g): yield g``,
     each followed by ``try: ... finally: r.release(g)``.  A kill that
-    lands while the process waits on the grant — before the ``try`` —
-    is covered by ``Process.kill``, which withdraws a queued grant and
-    releases a granted-but-undelivered one; once inside the ``try``,
-    the ``finally`` releases it."""
+    lands while the process waits on the grant or lock request — before
+    the ``try`` — is covered by ``Process.kill``, which withdraws a
+    queued claim and releases a granted-but-undelivered one; once
+    inside the ``try``, the ``finally`` releases it.  (``take`` is for
+    such events with identity; an anonymous delay waits in place with
+    ``if not sim.advance(d): yield sim.timeout(d)``.)"""
 
     code = "SIM001"
     name = "acquire-needs-finally-release"
@@ -121,6 +123,7 @@ class AcquireWithoutFinallyRule(Rule):
 #: callable-name -> index of the positional delay argument.
 _DELAY_POSITIONS = {
     "timeout": 0,
+    "advance": 0,
     "_schedule": 1,
     "succeed": 1,
     "fail": 1,
@@ -146,8 +149,8 @@ class NegativeDelayRule(Rule):
     code = "SIM002"
     name = "no-negative-delay"
     rationale = (
-        "timeout()/succeed()/fail() with a negative delay schedules "
-        "into the past; the engine rejects it at runtime"
+        "timeout()/advance()/succeed()/fail() with a negative delay "
+        "schedules into the past; the engine rejects it at runtime"
     )
 
     def visit_Call(self, node: ast.Call) -> None:

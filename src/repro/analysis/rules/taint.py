@@ -3,7 +3,8 @@
 DET001/DET002 flag the *source calls* themselves; this rule follows
 the value.  ``delay = time.monotonic() - start`` is only a hazard once
 ``delay`` reaches somewhere the simulation can observe it — a
-scheduling call (``sim.timeout(delay)``), an event payload
+scheduling call (``sim.timeout(delay)``, ``sim.advance(delay)``), an
+event payload
 (``ev.succeed(value, delay)``), or a digest that feeds the golden
 results.  The taint walk is flow-insensitive per function (any name
 ever assigned from a source is tainted everywhere) and steps across

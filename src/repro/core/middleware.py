@@ -199,9 +199,8 @@ class S4DCacheMiddleware(IOLayer):
         if traced:
             id_span = ctx.begin("benefit_eval", cat="middleware",
                                 component="app", op=op)
-        lookup = sim.timeout(self.lookup_overhead)
-        if not sim.take(lookup):
-            yield lookup
+        if not sim.advance(self.lookup_overhead):
+            yield sim.timeout(self.lookup_overhead)
         benefit, cdt_entry = self.identifier.observe(
             rank, handle.path, op, offset, size
         )
@@ -237,11 +236,9 @@ class S4DCacheMiddleware(IOLayer):
                     sync_span = ctx.begin("metadata_sync", cat="middleware",
                                           component="app",
                                           mutations=plan.metadata_mutations)
-                sync = sim.timeout(
-                    plan.metadata_mutations * self.metadata_sync_cost
-                )
-                if not sim.take(sync):
-                    yield sync
+                sync = plan.metadata_mutations * self.metadata_sync_cost
+                if not sim.advance(sync):
+                    yield sim.timeout(sync)
                 if traced:
                     ctx.end(sync_span)
         finally:
@@ -292,19 +289,16 @@ class S4DCacheMiddleware(IOLayer):
                 # A one-step plan runs in this process; zero-delay
                 # slots keep the spawned flow's schedule (see
                 # PFSClient._io).
-                slot = sim.timeout(0.0)  # the flow's bootstrap frame
-                if not sim.take(slot):
-                    yield slot
+                if not sim.advance(0.0):  # the flow's bootstrap frame
+                    yield sim.timeout(0.0)
                 step_results = [(yield from self._step_flow(
                     rank, d_handle, c_handle, plan.op, steps[0], stamp,
                     priority, exec_ctx,
                 ))]
-                slot = sim.timeout(0.0)  # its completion event
-                if not sim.take(slot):
-                    yield slot
-                slot = sim.timeout(0.0)  # the AllOf firing
-                if not sim.take(slot):
-                    yield slot
+                if not sim.advance(0.0):  # its completion event
+                    yield sim.timeout(0.0)
+                if not sim.advance(0.0):  # the AllOf firing
+                    yield sim.timeout(0.0)
             else:
                 flow_name = "s4d:" + plan.op
                 flows = [

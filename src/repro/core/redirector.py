@@ -25,6 +25,7 @@ the middleware charges the metadata-sync latency.
 from __future__ import annotations
 
 import dataclasses
+import typing
 
 from ..devices.base import OP_READ, OP_WRITE
 from ..errors import CacheError
@@ -38,9 +39,11 @@ TO_DSERVERS = "dservers"
 TO_CSERVERS = "cservers"
 
 
-@dataclasses.dataclass(frozen=True)
-class RouteStep:
-    """One contiguous segment of a request, routed to one target."""
+class RouteStep(typing.NamedTuple):
+    """One contiguous segment of a request, routed to one target.
+
+    A named tuple: the Redirector builds one or more per request.
+    """
 
     target: str
     #: Offset/size in the *original* file's coordinates.

@@ -232,8 +232,14 @@ class DeviceProfiler:
         )
 
 
-def _lstsq(a: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
-    """Least squares returning (coefficients, SSE)."""
+def _lstsq(a: np.ndarray, y: np.ndarray) -> tuple[list[float], float]:
+    """Least squares returning (coefficients, SSE), all Python floats.
+
+    The coefficients end up in the fitted profiles; a ``numpy.float64``
+    there would slow every benefit evaluation, heap key and victim-scan
+    comparison downstream (numpy scalar arithmetic costs ~2.5x a float's)
+    without changing a bit of the result.
+    """
     coeffs, residuals, _, _ = np.linalg.lstsq(a, y, rcond=None)
     if residuals.size:
         sse = float(residuals[0])
@@ -241,4 +247,4 @@ def _lstsq(a: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
         sse = float(((a @ coeffs - y) ** 2).sum())
     if not all(math.isfinite(c) for c in coeffs):
         raise DeviceError("degenerate least-squares fit")
-    return coeffs, sse
+    return coeffs.tolist(), sse

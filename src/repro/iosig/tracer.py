@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
-import dataclasses
+import typing
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
-class TraceRecord:
-    """One traced request and where its bytes went."""
+class TraceRecord(typing.NamedTuple):
+    """One traced request and where its bytes went.
+
+    A named tuple: one is built per traced request, and a frozen
+    dataclass's ``__init__`` would pay an ``object.__setattr__`` per
+    field.
+    """
 
     time: float
     rank: int

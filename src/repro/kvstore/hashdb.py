@@ -23,7 +23,6 @@ Two backends share the same API:
 
 from __future__ import annotations
 
-import dataclasses
 import io
 import os
 import pickle
@@ -39,9 +38,8 @@ _DELETE = "delete"
 _LEN = struct.Struct("<I")
 
 
-@dataclasses.dataclass(frozen=True)
-class WalRecord:
-    """One durable log record."""
+class WalRecord(typing.NamedTuple):
+    """One durable log record (a named tuple: one per DMT mutation)."""
 
     op: str
     key: str

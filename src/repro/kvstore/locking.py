@@ -34,14 +34,29 @@ class LockRequest(Event):
     request itself to :meth:`LockManager.release` — the shape the
     ``lock = locks.acquire(...); if not sim.take(lock): yield lock``
     idiom needs.  Being its own class keeps it out of the engine's
-    generic-event pool, so the handle stays valid until released.
+    generic-event pool, so the handle stays valid until released.  It
+    also makes a waiting process kill-safe: ``Process.kill`` withdraws
+    a queued request and releases a granted-but-undelivered one.
     """
 
-    __slots__ = ("token",)
+    __slots__ = ("token", "manager")
 
-    def __init__(self, sim: "Simulator", token: LockToken):
-        super().__init__(sim)
+    def __init__(self, manager: "LockManager", token: LockToken):
+        super().__init__(manager.sim)
         self.token = token
+        self.manager = manager
+
+    # A process killed while waiting on the request (see Process.kill).
+    def _withdraw_claim(self) -> bool:
+        if self._triggered:
+            return True
+        self.manager.cancel(self.token.key, self)
+        return False
+
+    def _release_claim(self) -> None:
+        token = self.token
+        if self.manager._held.get(token.key) is token:
+            self.manager.release(token)
 
 
 class LockManager:
@@ -57,7 +72,7 @@ class LockManager:
     def acquire(self, key: str, owner: str = "") -> LockRequest:
         """Request the lock on ``key``; yields the token when granted."""
         token = LockToken(key, owner)
-        event = LockRequest(self.sim, token)
+        event = LockRequest(self, token)
         if key not in self._held:
             self._held[key] = token
             self.acquisitions += 1

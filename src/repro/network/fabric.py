@@ -96,7 +96,8 @@ class Fabric:
                 src=src, dst=dst, size=size,
             )
         # ``if not sim.take(ev): yield ev`` is ``yield ev`` minus the
-        # engine round trip when ``ev`` is the very next event anyway.
+        # engine round trip when ``ev`` is the very next event anyway;
+        # ``sim.advance`` is the same for the anonymous wire-time wait.
         sim = self.sim
         try:
             tx_grant = sender.tx.acquire(priority)
@@ -109,10 +110,9 @@ class Fabric:
                 try:
                     sb = sender.bandwidth
                     rb = receiver.bandwidth
-                    wire = size / (sb if sb < rb else rb)
-                    wait = sim.timeout(self.spec.latency + wire)
-                    if not sim.take(wait):
-                        yield wait
+                    delay = self.spec.latency + size / (sb if sb < rb else rb)
+                    if not sim.advance(delay):
+                        yield sim.timeout(delay)
                 finally:
                     receiver.rx.release(rx_grant)
             finally:

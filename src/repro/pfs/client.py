@@ -171,17 +171,14 @@ class PFSClient:
                 # The lone sub-flow runs right here.  Zero-delay slots
                 # stand exactly where a spawned flow's events would be,
                 # so every later event keeps its (time, seq) position.
-                slot = sim.timeout(0.0)  # the flow's bootstrap frame
-                if not sim.take(slot):
-                    yield slot
+                if not sim.advance(0.0):  # the flow's bootstrap frame
+                    yield sim.timeout(0.0)
                 yield from self._sub_flow(op, handle, subs[0], priority,
                                           sub_ctx)
-                slot = sim.timeout(0.0)  # its completion event
-                if not sim.take(slot):
-                    yield slot
-                slot = sim.timeout(0.0)  # the AllOf firing
-                if not sim.take(slot):
-                    yield slot
+                if not sim.advance(0.0):  # its completion event
+                    yield sim.timeout(0.0)
+                if not sim.advance(0.0):  # the AllOf firing
+                    yield sim.timeout(0.0)
             else:
                 # One shared debug name per request (not per sub-request):
                 # the per-sub f-string was a measurable allocation on the
@@ -207,7 +204,9 @@ class PFSClient:
             size=size,
             start_time=start,
             end_time=self.sim.now,
-            servers_touched=len({sub.server for sub in subs}),
+            # The planner already yields one run per distinct server.
+            servers_touched=(len(subs) if self.coalesce
+                             else len({sub.server for sub in subs})),
         )
         if op == OP_WRITE:
             write_stamp = stamp if stamp is not None else next_stamp()

@@ -18,8 +18,8 @@ slot ``k // M``.  This module provides:
 
 from __future__ import annotations
 
-import dataclasses
 import math
+import typing
 
 from ..errors import PFSError
 
@@ -35,13 +35,13 @@ def _validate(offset: int, size: int, stripe: int, servers: int) -> None:
         raise PFSError(f"request size must be positive: {size}")
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
-class SubRequest:
+class SubRequest(typing.NamedTuple):
     """One server's share of a parallel request.
 
     ``local_offset`` is relative to the file's region on that server
     (stripe slot ``k // M`` times stripe size, plus the intra-stripe
     offset); the file system adds the file's base address later.
+    A named tuple: it is built per request on the hot path.
     """
 
     server: int

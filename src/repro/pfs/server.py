@@ -80,9 +80,8 @@ class FileServer:
         sim = self.sim
         start = sim.now
         if ctx is None or ctx is NULL_CONTEXT:
-            overhead = sim.timeout(self.software_overhead)
-            if not sim.take(overhead):
-                yield overhead
+            if not sim.advance(self.software_overhead):
+                yield sim.timeout(self.software_overhead)
             os_cache = self.os_cache
             if os_cache is not None:
                 if op == OP_WRITE:
@@ -98,9 +97,8 @@ class FileServer:
                              op=op, size=size)
             ctx = ctx.under(span)
             try:
-                overhead = sim.timeout(self.software_overhead)
-                if not sim.take(overhead):
-                    yield overhead
+                if not sim.advance(self.software_overhead):
+                    yield sim.timeout(self.software_overhead)
                 if self.os_cache is not None:
                     if op == OP_WRITE:
                         yield from self.os_cache.write(offset, size, priority,
@@ -135,9 +133,8 @@ class FileServer:
             start = sim.now
             try:
                 elapsed = self.device.service_time(op, offset, size, self._rng)
-                service = sim.timeout(elapsed)
-                if not sim.take(service):
-                    yield service
+                if not sim.advance(elapsed):
+                    yield sim.timeout(elapsed)
             finally:
                 self.queue.release(grant)
             self.busy_log.record(start, sim.now, op)
@@ -159,9 +156,8 @@ class FileServer:
         )
         try:
             elapsed = self.device.service_time(op, offset, size, self._rng)
-            service = sim.timeout(elapsed)
-            if not sim.take(service):
-                yield service
+            if not sim.advance(elapsed):
+                yield sim.timeout(elapsed)
         finally:
             ctx.end(dev_span)
             self.queue.release(grant)

@@ -346,6 +346,36 @@ class Simulator:
             self._event_pool.append(event)
         return True
 
+    def advance(self, delay: float) -> bool:
+        """Move the clock ``delay`` seconds in place if nothing fires first.
+
+        The idiom ``if not sim.advance(d): yield sim.timeout(d)`` behaves
+        exactly like ``yield sim.timeout(d)`` — it is :meth:`take` for
+        an anonymous wait, minus the :class:`Timeout` it would have
+        consumed.  It fires under ``take``'s conditions: the caller is
+        the process the run loop is resuming in place, the run queue is
+        empty, the timed-queue front lies strictly after ``now + delay``
+        (an entry at exactly that time has the lower seq and goes
+        first), and ``now + delay`` is within ``until``.  It then bumps
+        the seq the timeout would have taken, so :attr:`events_scheduled`
+        and the ``(time, seq)`` schedule are unchanged, and moves the
+        clock.  Returns False — the caller must yield the timeout —
+        otherwise, including outside :meth:`run` and under an attached
+        profiler.  A negative delay raises, as :meth:`timeout` does.
+        """
+        if delay < 0:
+            raise SimulationError(f"negative timeout delay: {delay}")
+        if self._active_process is None or self._runq:
+            return False
+        when = self.now + delay
+        heap = self._heap
+        if (heap and heap[0][0] <= when) or (
+                self._until is not None and when > self._until):
+            return False
+        self._seq += 1
+        self.now = when
+        return True
+
     # -- engine plumbing --------------------------------------------------
     def _schedule(self, event: Event, delay: float) -> None:
         if delay == 0.0:

@@ -167,6 +167,22 @@ class Event:
                 for callback in callbacks:
                     callback(self)
 
+    # -- kill safety ---------------------------------------------------
+    def _withdraw_claim(self) -> bool:
+        """A killed process was waiting on this event: drop its claim.
+
+        Events that stand for a claim on a shared slot (resource
+        grants, locks) override this pair.  A claim still queued is
+        withdrawn here, before the kill's throw; True means it was
+        already granted, and :meth:`_release_claim` runs after the
+        throw.  Plain events hold no claim.
+        """
+        return False
+
+    def _release_claim(self) -> None:
+        """Give back a granted claim unless the killed process's own
+        cleanup already did."""
+
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "processed" if self._processed else (
             "triggered" if self._triggered else "pending")

@@ -16,7 +16,6 @@ import typing
 from ..errors import ProcessKilled, SimulationError
 from . import events
 from .events import Event, _Frame
-from .resources import Grant
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from .core import Simulator
@@ -79,14 +78,15 @@ class Process(Event):
     def kill(self, reason: str = "") -> None:
         """Throw :class:`ProcessKilled` into the process at the current time.
 
-        Kill-safe for resource grants: a process killed while waiting on
-        a :class:`~repro.sim.resources.Grant` gives it back.  A grant
-        still queued is withdrawn before the throw (it can never be
-        granted to a dead process); a grant already granted but not yet
-        delivered is released after the throw unless the process's own
-        cleanup released it.  So ``g = yield r.acquire()`` and
-        ``if not sim.take(g): yield g`` never leak a slot, even though
-        the kill lands before their ``try``.
+        Kill-safe for claims on shared slots: a process killed while
+        waiting on a :class:`~repro.sim.resources.Grant` or a lock
+        request gives it back.  A claim still queued is withdrawn before
+        the throw (it can never be granted to a dead process); one
+        already granted but not yet delivered is released after the
+        throw unless the process's own cleanup released it.  So
+        ``g = yield r.acquire()`` and ``if not sim.take(g): yield g``
+        never leak a slot or a lock, even though the kill lands before
+        their ``try``.
         """
         if self.triggered:
             return
@@ -96,14 +96,11 @@ class Process(Event):
             self._presume = None
             self.succeed(None)
             return
-        grant = self._waiting_on
-        if grant.__class__ is not Grant:
-            grant = None
-        elif not grant._triggered:
-            grant.resource._withdraw(grant)
+        claim = self._waiting_on
+        granted = claim is not None and claim._withdraw_claim()
         self._throw_in(ProcessKilled(reason or f"process {self.name} killed"))
-        if grant is not None and grant._triggered and not grant.released:
-            grant.resource.release(grant)
+        if granted:
+            claim._release_claim()
 
     # -- engine plumbing -------------------------------------------------
     def _resume(self, event: Event) -> None:

@@ -62,6 +62,16 @@ class Grant(Event):
         self.priority = priority
         self.released = False
 
+    def _withdraw_claim(self) -> bool:
+        if self._triggered:
+            return True
+        self.resource._withdraw(self)
+        return False
+
+    def _release_claim(self) -> None:
+        if not self.released:
+            self.resource.release(self)
+
 
 class PriorityResource:
     """A resource with ``capacity`` concurrent slots and priority waiting.

@@ -30,6 +30,35 @@ def test_wall_clock_into_timeout():
     assert "'delay'" in hit.message
 
 
+def test_wall_clock_into_advance():
+    findings = lint_snippet(
+        """
+        import time
+
+        def pace(sim, start):
+            elapsed = time.monotonic() - start
+            if not sim.advance(elapsed):
+                yield sim.timeout(1.0)
+        """
+    )
+    hits = _det006(findings)
+    assert len(hits) == 1 and "'elapsed'" in hits[0].message
+
+
+def test_unseeded_random_into_advance():
+    findings = lint_snippet(
+        """
+        import random
+
+        def jitter(sim):
+            pause = random.random()
+            if not sim.advance(pause):
+                yield sim.timeout(0.0)
+        """
+    )
+    assert "DET006" in codes(findings)
+
+
 def test_global_random_into_event_payload():
     findings = lint_snippet(
         """

@@ -23,6 +23,17 @@ def test_negative_succeed_delay_flagged():
     assert codes(findings) == ["SIM002"]
 
 
+def test_negative_advance_flagged():
+    findings = lint_snippet(
+        """
+        def flow(sim):
+            if not sim.advance(-0.5):
+                yield sim.timeout(0.5)
+        """
+    )
+    assert codes(findings) == ["SIM002"]
+
+
 def test_negative_keyword_delay_flagged():
     findings = lint_snippet(
         """
@@ -38,6 +49,8 @@ def test_zero_and_positive_delays_not_flagged():
         """
         def flow(sim, event):
             yield sim.timeout(0.0)
+            if not sim.advance(0.25):
+                yield sim.timeout(0.25)
             event.succeed(None, 1.5)
         """
     )

@@ -107,10 +107,14 @@ def test_cli_json_and_check_gate(tmp_path):
     assert doc["scale"] == 0.01
     assert [r["name"] for r in doc["results"]] == ["event_loop"]
 
-    # Self-comparison passes the gate...
+    # A baseline any run beats passes the gate (a comparison against a
+    # run made seconds earlier would hang on the host's load)...
+    doc["results"][0]["throughput"] = 1.0
+    beatable = tmp_path / "beatable.json"
+    beatable.write_text(json.dumps(doc))
     rc = cli.main([
         "--scale", "0.01", "--only", "event_loop", "--repeat", "1",
-        "--check", str(out), "--tolerance", "0.5",
+        "--check", str(beatable), "--tolerance", "0.25",
     ])
     assert rc == 0
 
